@@ -3,8 +3,8 @@ package imtrans
 import (
 	"fmt"
 
-	"imtrans/internal/baseline"
 	"imtrans/internal/power"
+	"imtrans/internal/scheme"
 )
 
 // AddressBusReport measures the instruction-*address* bus of one program
@@ -23,35 +23,48 @@ type AddressBusReport struct {
 	T0Percent   float64
 }
 
-// MeasureAddressBus simulates the program once and measures its fetch
-// address stream under all three address codings.
+// MeasureAddressBus measures a program's fetch address stream under all
+// three address codings. The addresses are read off the program's cached
+// fetch-trace capture (profiling it on first use) through the registered
+// gray and t0 batch kernels, so the study costs no simulation of its own.
 func MeasureAddressBus(p *Program, setup func(Memory) error) (*AddressBusReport, error) {
-	m, err := newMachine(p, setup)
+	return measureAddressBus(p, setup, "")
+}
+
+func measureAddressBus(p *Program, setup func(Memory) error, salt string) (*AddressBusReport, error) {
+	cap, err := captureProgram(p, setup, salt)
 	if err != nil {
 		return nil, err
 	}
-	bus := baseline.NewAddrBus(32, 4)
-	m.OnFetch = func(pc, word uint32) { bus.Transfer(pc) }
-	if err := m.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: address-bus run: %w", err)
+	w := &scheme.Workload{Cap: cap, Stream: scheme.NewStream(cap)}
+	gray, err := measureScheme(w, "gray")
+	if err != nil {
+		return nil, err
 	}
+	t0, err := measureScheme(w, "t0")
+	if err != nil {
+		return nil, err
+	}
+	// Both kernels report the binary address bus as their baseline.
+	binary := gray.Baseline
 	return &AddressBusReport{
-		Fetches:     bus.Words(),
-		Binary:      bus.Binary(),
-		Gray:        bus.Gray(),
-		T0:          bus.T0(),
-		GrayPercent: power.Reduction(bus.Binary(), bus.Gray()),
-		T0Percent:   power.Reduction(bus.Binary(), bus.T0()),
+		Fetches:     cap.Trace.N,
+		Binary:      binary,
+		Gray:        gray.Transitions,
+		T0:          t0.Transitions,
+		GrayPercent: power.Reduction(binary, gray.Transitions),
+		T0Percent:   power.Reduction(binary, t0.Transitions),
 	}, nil
 }
 
-// MeasureAddressBus runs the address-bus study on the benchmark.
+// MeasureAddressBus runs the address-bus study on the benchmark, sharing
+// the benchmark's capture with Measure.
 func (b Benchmark) MeasureAddressBus() (*AddressBusReport, error) {
 	p, err := b.Program()
 	if err != nil {
 		return nil, err
 	}
-	r, err := MeasureAddressBus(p, b.setup)
+	r, err := measureAddressBus(p, b.setup, b.captureSalt())
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

@@ -131,6 +131,12 @@ func (b Benchmark) setup(m Memory) error {
 	return b.w.Setup(m.m, b.params())
 }
 
+// check validates the kernel's numerical result in memory after a run
+// against the golden reference.
+func (b Benchmark) check(m Memory) error {
+	return b.w.Check(m.m, b.params())
+}
+
 // Run executes the benchmark at its configured scale, validates the
 // numerical result against the golden reference, and returns the baseline
 // bus statistics.
@@ -150,7 +156,7 @@ func (b Benchmark) Run() (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := b.w.Check(mc.Memory().m, b.params()); err != nil {
+	if err := b.check(mc.Memory()); err != nil {
 		return nil, fmt.Errorf("imtrans: %s: golden check: %w", b.Name, err)
 	}
 	return res, nil
@@ -163,7 +169,7 @@ func (b Benchmark) MeasureWithCache(cache CacheConfig, enc Config) (*CacheMeasur
 	if err != nil {
 		return nil, err
 	}
-	cm, err := MeasureWithCache(p, b.setup, cache, enc)
+	cm, err := measureWithCache(p, b.setup, b.captureSalt(), cache, enc)
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

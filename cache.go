@@ -1,13 +1,14 @@
 package imtrans
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
 
-	"imtrans/internal/cfg"
-	"imtrans/internal/core"
-	"imtrans/internal/hw"
 	"imtrans/internal/icache"
 	"imtrans/internal/power"
+	"imtrans/internal/replay"
+	"imtrans/internal/scheme"
 	"imtrans/internal/trace"
 )
 
@@ -53,117 +54,140 @@ type CacheMeasurement struct {
 // the core-side reduction equals the uncached measurement, because the
 // cache stores encoded words verbatim — and quantifies the bonus reduction
 // on the memory-side refill bus.
+//
+// Everything comes from the program's cached fetch-trace capture
+// (profiling it on first use): the core-side buses are the capture's
+// baseline and the paper replay of encCfg — which is what storage
+// independence says they are — and the cache itself is driven from the
+// trace, refilling lines of the original and the encoded image alike.
 func MeasureWithCache(p *Program, setup func(Memory) error, cacheCfg CacheConfig, encCfg Config) (*CacheMeasurement, error) {
+	return measureWithCache(p, setup, "", cacheCfg, encCfg)
+}
+
+func measureWithCache(p *Program, setup func(Memory) error, salt string, cacheCfg CacheConfig, encCfg Config) (*CacheMeasurement, error) {
 	ic := cacheCfg.internal()
+	cache, err := icache.New(ic)
+	if err != nil {
+		return nil, err
+	}
+	cap, err := captureProgram(p, setup, salt)
+	if err != nil {
+		return nil, err
+	}
+	out, err := scheme.MeasurePaper(context.Background(), schemeWorkload(cap, replayEnv{}), encCfg.coreConfig())
+	if err != nil {
+		return nil, fmt.Errorf("imtrans: %v: %w", encCfg, err)
+	}
 
 	// wordAt reads an instruction word from an image, with nop padding
 	// for line fragments beyond the text segment.
 	wordAt := func(img []uint32, addr uint32) uint32 {
-		if addr < p.TextBase {
+		if addr < cap.Base {
 			return 0
 		}
-		i := int(addr-p.TextBase) / 4
+		i := int(addr-cap.Base) / 4
 		if i >= len(img) {
 			return 0
 		}
 		return img[i]
 	}
-
-	// Run 1: profile; baseline core and refill buses.
-	m1, err := newMachine(p, setup)
-	if err != nil {
-		return nil, err
-	}
-	coreBase := trace.NewBus(32)
 	refillBase := trace.NewBus(32)
-	cache1, err := icache.New(ic)
-	if err != nil {
-		return nil, err
-	}
-	var refillWords uint64
-	cache1.OnRefill = func(lineAddr uint32) {
-		for w := 0; w < ic.LineWords; w++ {
-			refillBase.Transfer(wordAt(p.Text, lineAddr+uint32(4*w)))
-			refillWords++
-		}
-	}
-	m1.OnFetch = func(pc, word uint32) {
-		coreBase.Transfer(word)
-		cache1.Access(pc)
-	}
-	if err := m1.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: cached profiling run: %w", err)
-	}
-
-	// Encode from the profile.
-	g, err := cfg.Build(p.TextBase, p.Text)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := core.Encode(g, m1.Profile(), encCfg.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	if err := enc.Verify(); err != nil {
-		return nil, err
-	}
-	dec, err := hw.NewDecoder(enc)
-	if err != nil {
-		return nil, err
-	}
-	dec.Strict = true
-
-	// Run 2: encoded core and refill buses, decoder verified.
-	m2, err := newMachine(p, setup)
-	if err != nil {
-		return nil, err
-	}
-	coreEnc := trace.NewBus(32)
 	refillEnc := trace.NewBus(32)
-	cache2, err := icache.New(ic)
-	if err != nil {
-		return nil, err
-	}
-	cache2.OnRefill = func(lineAddr uint32) {
+	cache.OnRefill = func(lineAddr uint32) {
 		for w := 0; w < ic.LineWords; w++ {
-			refillEnc.Transfer(wordAt(enc.EncodedWords, lineAddr+uint32(4*w)))
+			addr := lineAddr + uint32(4*w)
+			refillBase.Transfer(wordAt(cap.Words, addr))
+			refillEnc.Transfer(wordAt(out.Enc.EncodedWords, addr))
 		}
 	}
-	var hookErr error
-	m2.OnFetch = func(pc, word uint32) {
-		busWord := enc.EncodedWords[int(pc-p.TextBase)/4]
-		coreEnc.Transfer(busWord)
-		cache2.Access(pc)
-		restored, err := dec.OnFetch(pc, busWord)
-		if err != nil && hookErr == nil {
-			hookErr = err
-		}
-		if restored != word && hookErr == nil {
-			hookErr = fmt.Errorf("imtrans: decoder restored %#08x at pc %#x, want %#08x", restored, pc, word)
-		}
-	}
-	if err := m2.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: cached measurement run: %w", err)
-	}
-	if hookErr != nil {
-		return nil, hookErr
-	}
-	if cache1.Misses != cache2.Misses {
-		return nil, fmt.Errorf("imtrans: cache behaviour diverged between runs (%d vs %d misses)",
-			cache1.Misses, cache2.Misses)
-	}
+	driveCacheLines(cache, cap)
+	// Every fetch that did not change line, or changed to a resident
+	// one, hit.
+	cache.Hits = cap.Trace.N - cache.Misses
 
+	coreBase, coreEnc := cap.BaselineTotal, out.Rep.Encoded
 	return &CacheMeasurement{
 		Cache:          cacheCfg,
 		Encoding:       encCfg,
-		Fetches:        m2.InstCount,
-		HitRatePercent: cache1.HitRate(),
-		RefillWords:    refillWords,
-		CoreBaseline:   coreBase.Total(),
-		CoreEncoded:    coreEnc.Total(),
-		CorePercent:    power.Reduction(coreBase.Total(), coreEnc.Total()),
+		Fetches:        cap.Instructions,
+		HitRatePercent: cache.HitRate(),
+		RefillWords:    cache.Misses * uint64(ic.LineWords),
+		CoreBaseline:   coreBase,
+		CoreEncoded:    coreEnc,
+		CorePercent:    power.Reduction(coreBase, coreEnc),
 		RefillBaseline: refillBase.Total(),
 		RefillEncoded:  refillEnc.Total(),
 		RefillPercent:  power.Reduction(refillBase.Total(), refillEnc.Total()),
 	}, nil
+}
+
+// driveCacheLines replays a capture's fetch stream into an instruction
+// cache at line granularity: one Access per change of cache line. A fetch
+// from the line just accessed always hits and leaves the LRU order as it
+// is (that line is already the most recent), so skipping it changes no
+// miss, refill or replacement decision. A repeat group whose body returns
+// to its entry index and completes an iteration without a miss is
+// finished outright: the next iteration walks the same lines from the
+// same resident set, so it hits throughout as well, and so does every
+// one after it.
+func driveCacheLines(c *icache.Cache, cap *replay.Capture) {
+	tr := cap.Trace
+	d := lineDriver{c: c, base: cap.Base, shift: uint(bits.TrailingZeros(uint(c.Config().LineWords * 4))), idx: tr.First}
+	d.line = d.lineOf(d.idx)
+	c.Access(d.pc(d.idx))
+	d.ops(tr.Ops)
+}
+
+// lineDriver is driveCacheLines' walker: the current text index and the
+// cache line it lies in.
+type lineDriver struct {
+	c     *icache.Cache
+	base  uint32
+	shift uint // log2 of the line size in bytes
+	idx   int32
+	line  uint32
+}
+
+func (d *lineDriver) pc(idx int32) uint32     { return d.base + uint32(idx)*4 }
+func (d *lineDriver) lineOf(idx int32) uint32 { return d.pc(idx) >> d.shift }
+
+// visit moves to idx, accessing the cache if its line differs.
+func (d *lineDriver) visit(idx int32) {
+	d.idx = idx
+	if l := d.lineOf(idx); l != d.line {
+		d.line = l
+		d.c.Access(d.pc(idx))
+	}
+}
+
+func (d *lineDriver) ops(ops []replay.Op) {
+	for i := range ops {
+		op := &ops[i]
+		switch {
+		case op.Repeat > 0:
+			d.repeat(op)
+		case op.Delta == 1:
+			// Touch only the first fetch of each line the span enters.
+			hi := d.idx + int32(op.Count)
+			for next := d.idx + 1; next <= hi; {
+				d.visit(next)
+				next = int32((uint64(d.line+1)<<d.shift - uint64(d.base)) / 4)
+			}
+			d.idx = hi
+		default:
+			for n := op.Count; n > 0; n-- {
+				d.visit(d.idx + op.Delta)
+			}
+		}
+	}
+}
+
+func (d *lineDriver) repeat(op *replay.Op) {
+	for r := int64(0); r < op.Repeat; r++ {
+		entry, misses := d.idx, d.c.Misses
+		d.ops(op.Body)
+		if d.idx == entry && d.c.Misses == misses {
+			return
+		}
+	}
 }

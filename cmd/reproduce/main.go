@@ -520,16 +520,15 @@ func schedStudy(small bool) error {
 		if err != nil {
 			return err
 		}
-		if _, err := b.RunProgram(p2); err != nil {
-			return fmt.Errorf("%s: rescheduled program failed golden check: %w", b.Name, err)
-		}
 		base, err := b.Measure(imtrans.Config{BlockSize: 5})
 		if err != nil {
 			return err
 		}
+		// MeasureModified golden-checks the rescheduled program inside
+		// the same simulation that captures it.
 		resched, err := b.MeasureModified(p2, imtrans.Config{BlockSize: 5})
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: rescheduled program: %w", b.Name, err)
 		}
 		// Scheduling-only reduction: the rescheduled program's baseline
 		// stream vs the original baseline.

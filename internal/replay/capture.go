@@ -38,7 +38,10 @@ func ProgramKey(textBase uint32, text []uint32, dataBase uint32, data []byte, sa
 // Capture is everything one profiling run of a program yields: the
 // compressed fetch trace, the execution profile, and the stream statistics
 // that do not depend on the encoding configuration (baseline bus, the
-// bus-invert and dictionary comparators). Replaying a capture against an
+// bus-invert and dictionary comparators). The run itself records only the
+// trace and the profile; the stream statistics are derived from the trace
+// once, right after it, and stored here so cached and persisted captures
+// serve them without recomputation. Replaying a capture against an
 // encoding reproduces MeasureProgram's output bit for bit without running
 // the CPU again.
 type Capture struct {

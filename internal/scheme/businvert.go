@@ -10,9 +10,11 @@ import (
 
 // busInvertScheme replays the captured fetch stream through the baseline
 // Bus-Invert coder (Stan & Burleson). At the default 32-line width its
-// total is bit-identical to the BusInvertTotal the capture's profiling
-// run accumulated — asserted by the differential tests — because both
-// drive the same deterministic coder with the same word sequence.
+// total is bit-identical to the comparator the reference simulate
+// pipeline (imtrans.MeasureProgram) drives per fetch — asserted by the
+// differential tests — because both drive the same deterministic coder
+// with the same word sequence. The capture's BusInvertTotal is this
+// kernel's result, derived once at capture time.
 //
 // The batch kernel rests on a classification of each adjacent pair by its
 // masked toggle count p against the width w: p < w/2 leaves the invert

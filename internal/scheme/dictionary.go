@@ -12,7 +12,9 @@ import (
 // dictionary-compression coder (cf. Lekatsas et al.): the most frequent
 // instructions drive only index lines plus a hit flag, misses drive the
 // raw word. At the default 256 entries its transition total equals the
-// DictionaryTotal the capture recorded.
+// comparator the reference simulate pipeline (imtrans.MeasureProgram)
+// drives per fetch; the capture's DictionaryTotal is this kernel's
+// result, derived once at capture time.
 //
 // The batch kernel cannot prefix-sum — the undriven lines hold the bits
 // of the last miss, so the bus state threads through every fetch — but it

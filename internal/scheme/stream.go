@@ -225,3 +225,66 @@ func widthMask(width int) uint32 {
 	}
 	return 1<<uint(width) - 1
 }
+
+// BaselinePerLine returns the per-line transition counts (line 0 first)
+// of driving the capture's fetch stream unencoded over the full 32-line
+// bus — exactly what a trace.Bus fed every fetched word accumulates. A
+// +1 run is a lane-prefix difference per line, any other step pops the
+// lines its word pair toggles, and a repeat group whose body returns to
+// its entry index is charged once per iteration arithmetically: the bus
+// cost of a memoryless code is a function of the index walk alone, so
+// every iteration of such a body costs what the first did.
+func (st *Stream) BaselinePerLine() []uint64 {
+	tr := st.cap.Trace
+	w := baselineWalk{words: st.cap.Words, lanes: st.LanePrefixes(), idx: tr.First}
+	w.ops(tr.Ops)
+	return w.per[:]
+}
+
+// baselineWalk is the BaselinePerLine walker: the current text index and
+// the per-line totals so far.
+type baselineWalk struct {
+	words []uint32
+	lanes *[32][]uint32
+	idx   int32
+	per   [32]uint64
+}
+
+func (w *baselineWalk) ops(ops []replay.Op) {
+	for i := range ops {
+		op := &ops[i]
+		switch {
+		case op.Repeat > 0:
+			w.repeat(op)
+		case op.Delta == 1:
+			lo, hi := w.idx, w.idx+int32(op.Count)
+			for l := range w.per {
+				w.per[l] += uint64(w.lanes[l][hi] - w.lanes[l][lo])
+			}
+			w.idx = hi
+		default:
+			for c := op.Count; c > 0; c-- {
+				next := w.idx + op.Delta
+				for x := w.words[next] ^ w.words[w.idx]; x != 0; x &= x - 1 {
+					w.per[bits.TrailingZeros32(x)]++
+				}
+				w.idx = next
+			}
+		}
+	}
+}
+
+func (w *baselineWalk) repeat(op *replay.Op) {
+	entry, before := w.idx, w.per
+	w.ops(op.Body)
+	if w.idx == entry {
+		k := uint64(op.Repeat - 1)
+		for l := range w.per {
+			w.per[l] += k * (w.per[l] - before[l])
+		}
+		return
+	}
+	for r := int64(1); r < op.Repeat; r++ {
+		w.ops(op.Body)
+	}
+}

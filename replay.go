@@ -6,13 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"imtrans/internal/baseline"
 	"imtrans/internal/cfg"
 	"imtrans/internal/core"
 	"imtrans/internal/power"
 	"imtrans/internal/replay"
 	"imtrans/internal/scheme"
-	"imtrans/internal/trace"
 )
 
 // streamingReplay selects the replay engine's image model. On (the
@@ -101,12 +99,19 @@ func PurgeCaptureCache() { replay.Shared.Purge() }
 func ClearCaptureCache() { replay.Shared.Clear() }
 
 func replayMeasureCtx(ctx context.Context, p *Program, setup func(Memory) error, salt string, cfgs ...Config) ([]Measurement, error) {
-	if len(cfgs) == 0 {
-		cfgs = []Config{{}}
-	}
 	cap, err := captureProgram(p, setup, salt)
 	if err != nil {
 		return nil, err
+	}
+	return replayCaptureCtx(ctx, cap, cfgs...)
+}
+
+// replayCaptureCtx evaluates every configuration against one capture,
+// fanning the cells over the SetParallelism bound with deterministic
+// output ordering.
+func replayCaptureCtx(ctx context.Context, cap *replay.Capture, cfgs ...Config) ([]Measurement, error) {
+	if len(cfgs) == 0 {
+		cfgs = []Config{{}}
 	}
 	g := cap.Graph // built once at capture time, shared by every config
 	out := make([]Measurement, len(cfgs))
@@ -199,9 +204,27 @@ func runPoolCtx(ctx context.Context, workers, n int, f func(i int)) {
 // captureProgram returns the (possibly cached) capture for a program,
 // profiling it at most once per content hash across the process.
 func captureProgram(p *Program, setup func(Memory) error, salt string) (*replay.Capture, error) {
+	return captureKeyed(p, setup, nil, salt)
+}
+
+// checkedSalt marks the cache key of a capture whose profiling run also
+// passed a golden check. Every other salt is printable text, so a checked
+// key never collides with an unchecked capture of the same program — a
+// cached unchecked capture proves nothing about the result, and a failed
+// checked capture must not poison unchecked measurements.
+const checkedSalt = "\x00golden-checked"
+
+// captureChecked is captureProgram with check applied to the memory the
+// profiling run leaves behind; a failing check fails (and caches the
+// failure of) the checked capture only.
+func captureChecked(p *Program, setup, check func(Memory) error, salt string) (*replay.Capture, error) {
+	return captureKeyed(p, setup, check, salt+checkedSalt)
+}
+
+func captureKeyed(p *Program, setup, check func(Memory) error, salt string) (*replay.Capture, error) {
 	key := replay.ProgramKey(p.TextBase, p.Text, p.DataBase, p.Data, salt)
 	return replay.Shared.GetOrCapture(key, func() (*replay.Capture, error) {
-		c, err := captureRun(p, setup)
+		c, err := captureRun(p, setup, check)
 		if err != nil {
 			return nil, err
 		}
@@ -211,50 +234,82 @@ func captureProgram(p *Program, setup func(Memory) error, salt string) (*replay.
 }
 
 // captureRun performs the single profiling simulation behind a capture:
-// one full run drives the baseline bus, the bus-invert comparator, and the
-// trace builder; the dictionary comparator needs the profile the run
-// produces, so it is driven afterwards by re-expanding the trace over the
-// original words — the same stream, hence the same counts, as
-// MeasureProgram's in-loop drive.
-func captureRun(p *Program, setup func(Memory) error) (*replay.Capture, error) {
+// the run feeds nothing but the trace builder (and check, when non-nil,
+// validates the memory it leaves behind). Every stream statistic the
+// capture carries is derived afterwards from the trace — see
+// deriveStreamTotals.
+func captureRun(p *Program, setup, check func(Memory) error) (*replay.Capture, error) {
 	m1, err := newMachine(p, setup)
 	if err != nil {
 		return nil, err
 	}
-	baseBus := trace.NewBus(32)
-	busInv := baseline.NewBusInvert(32)
 	builder := replay.NewBuilder()
 	base := p.TextBase
-	m1.OnFetch = func(pc, word uint32) {
-		baseBus.Transfer(word)
-		busInv.Transfer(word)
-		builder.Add(int(pc-base) / 4)
-	}
+	m1.OnFetch = func(pc, word uint32) { builder.Add(int(pc-base) / 4) }
 	if err := m1.Run(); err != nil {
 		return nil, fmt.Errorf("imtrans: profiling run: %w", err)
 	}
-	profile := append([]uint64(nil), m1.Profile()...)
+	if check != nil {
+		if err := check(Memory{m1.Mem}); err != nil {
+			return nil, fmt.Errorf("golden check: %w", err)
+		}
+	}
 	words := append([]uint32(nil), p.Text...)
 	g, err := cfg.Build(base, words)
 	if err != nil {
 		return nil, err
 	}
-	tr := builder.Trace()
-	dict := baseline.BuildDictionary(words, profile, 256)
-	tr.Indices(func(idx int32) { dict.Transfer(words[idx]) })
-	return &replay.Capture{
-		Base:            base,
-		Words:           words,
-		Graph:           g,
-		Trace:           tr,
-		Profile:         profile,
-		Instructions:    m1.InstCount,
-		BaselineTotal:   baseBus.Total(),
-		BaselinePerLine: baseBus.PerLine(),
-		BusInvertTotal:  busInv.Total(),
-		DictionaryTotal: dict.Transitions(),
-		DictionaryBits:  dict.TableBits(),
-	}, nil
+	c := &replay.Capture{
+		Base:         base,
+		Words:        words,
+		Graph:        g,
+		Trace:        builder.Trace(),
+		Profile:      append([]uint64(nil), m1.Profile()...),
+		Instructions: m1.InstCount,
+	}
+	if err := deriveStreamTotals(c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// deriveStreamTotals fills the configuration-independent stream
+// statistics of a capture from its trace: the unencoded baseline (total
+// and per line) from the transition-stream lane prefixes, and the
+// Bus-Invert and 256-entry dictionary comparators from their registered
+// batch kernels. Each is a pure function of the fetched word sequence,
+// so the totals equal what a per-fetch drive during the run would have
+// accumulated (MeasureProgram still drives them that way, and the
+// differential tests hold the two paths equal).
+func deriveStreamTotals(c *replay.Capture) error {
+	st := scheme.NewStream(c)
+	c.BaselinePerLine = st.BaselinePerLine()
+	c.BaselineTotal = 0
+	for _, n := range c.BaselinePerLine {
+		c.BaselineTotal += n
+	}
+	w := &scheme.Workload{Cap: c, Stream: st}
+	bi, err := measureScheme(w, "businvert")
+	if err != nil {
+		return err
+	}
+	dict, err := measureScheme(w, "dictionary")
+	if err != nil {
+		return err
+	}
+	c.BusInvertTotal = bi.Transitions
+	c.DictionaryTotal, c.DictionaryBits = dict.Transitions, dict.OverheadBits
+	return nil
+}
+
+// measureScheme measures a workload under a registered scheme at its
+// default operating point.
+func measureScheme(w *scheme.Workload, name string) (*scheme.Result, error) {
+	s, err := scheme.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	return s.Measure(context.Background(), w, scheme.Params{})
 }
 
 // memoSig returns the per-block encoding signature of a configuration.

@@ -9,10 +9,16 @@ import (
 	"imtrans/internal/replay"
 )
 
-// testScale shrinks a paper benchmark to test-sized problems (the same
-// scales cmd/reproduce -small uses).
+// testScale shrinks a benchmark — paper suite or extra — to test-sized
+// problems (the same scales cmd/reproduce -small uses).
 func testScale(b Benchmark) Benchmark {
 	switch b.Name {
+	case "crc32":
+		return b.WithScale(4096, 2)
+	case "iir":
+		return b.WithScale(2048, 3)
+	case "conv2d":
+		return b.WithScale(24, 2)
 	case "mmul":
 		return b.WithScale(24, 0)
 	case "sor":

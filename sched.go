@@ -69,7 +69,7 @@ func (b Benchmark) RunProgram(p *Program) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
-	if err := b.w.Check(mc.Memory().m, b.params()); err != nil {
+	if err := b.check(mc.Memory()); err != nil {
 		return nil, fmt.Errorf("imtrans: %s: golden check: %w", b.Name, err)
 	}
 	return res, nil
@@ -78,9 +78,17 @@ func (b Benchmark) RunProgram(p *Program) (*RunResult, error) {
 // MeasureModified runs the measurement pipeline on a caller-supplied
 // variant of the benchmark's program, using the benchmark's memory setup.
 // Like Measure, it goes through the capture/replay engine; the variant's
-// content hash keys its own cached capture.
+// content hash keys its own cached capture. The capture's profiling run
+// also validates the kernel's numerical result against the golden
+// reference (see RunProgram), so a variant that computes the wrong answer
+// fails with a golden-check error instead of being measured — one
+// simulation both proves and measures the transformation.
 func (b Benchmark) MeasureModified(p *Program, cfgs ...Config) ([]Measurement, error) {
-	ms, err := replayMeasureCtx(context.Background(), p, b.setup, b.captureSalt(), cfgs...)
+	cap, err := captureChecked(p, b.setup, b.check, b.captureSalt())
+	if err != nil {
+		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
+	}
+	ms, err := replayCaptureCtx(context.Background(), cap, cfgs...)
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
