@@ -12,7 +12,6 @@
 //	reproduce -scale small     # reduced problem sizes (seconds instead of minutes)
 //	reproduce -small           # shorthand for -scale small
 //	reproduce -j 4             # bound the measurement worker pools
-//	reproduce -stream=false    # force the materialised replay reference path
 //	reproduce -checkpoint f6.ckpt -what fig6   # journal the Figure 6 sweep; rerun to resume
 //	reproduce -timeout 30s     # bound the whole run; interrupted sweeps keep their journal
 //
@@ -58,7 +57,6 @@ func main() {
 	retries := flag.Int("retries", 1, "supervised attempts per sweep cell")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after a final GC) to this file")
-	stream := flag.Bool("stream", true, "use the streaming replay engine (false = materialised per-word reference path)")
 	flag.Parse()
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -71,7 +69,6 @@ func main() {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	imtrans.SetParallelism(jobs)
-	imtrans.SetStreamingReplay(*stream)
 	sweepRetries = *retries
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -53,7 +53,7 @@ type PaperOutcome struct {
 // returned unwrapped; callers attach their configuration context.
 func MeasurePaper(ctx context.Context, w *Workload, cc core.Config) (PaperOutcome, error) {
 	encOpts := core.EncodeOpts{Workers: w.EncWorkers, Arena: w.EncArena}
-	mOpts := replay.Options{Streaming: w.Streaming, Shared: w.Shared, Scratch: w.Scratch}
+	mOpts := replay.Options{Streaming: true, Shared: w.Shared, Scratch: w.Scratch}
 	enc, err := core.EncodeCtxOpts(ctx, w.Cap.Graph, w.Cap.Profile, cc, encOpts)
 	if err != nil {
 		return PaperOutcome{}, err

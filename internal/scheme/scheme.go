@@ -51,13 +51,12 @@ type Knob struct {
 }
 
 // Workload is one captured benchmark plus the execution environment a
-// measurement runs in: the streaming switch, the encoder fan-out bound,
-// and the optional shared memo store and scratch arenas the sweep
-// machinery threads through. Only the paper scheme uses the environment
-// fields; trace-replay schemes read just the capture.
+// measurement runs in: the encoder fan-out bound and the optional shared
+// memo store and scratch arenas the sweep machinery threads through. Only
+// the paper scheme uses the environment fields; trace-replay schemes read
+// just the capture.
 type Workload struct {
 	Cap        *replay.Capture
-	Streaming  bool
 	EncWorkers int
 	Shared     *replay.MemoStore
 	EncArena   *core.Arena

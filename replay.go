@@ -3,8 +3,6 @@ package imtrans
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"imtrans/internal/cfg"
 	"imtrans/internal/core"
@@ -13,30 +11,11 @@ import (
 	"imtrans/internal/scheme"
 )
 
-// streamingReplay selects the replay engine's image model. On (the
-// default), replays hold O(covered blocks) state and drive the decoder
-// straight off the compressed trace; off restores the materialised
-// per-word reference path, kept as the differential oracle.
-var streamingReplay atomic.Bool
-
-func init() { streamingReplay.Store(true) }
-
-// SetStreamingReplay switches the replay engine between the streaming
-// image model (on, the default: per-measure state proportional to the
-// covered-block count, so a 100x larger program replays in the same
-// memory) and the materialised per-word reference model (off), returning
-// the previous setting. Measurements are bit-identical in both modes;
-// only memory footprint and wall time change.
-func SetStreamingReplay(on bool) bool { return streamingReplay.Swap(on) }
-
-// StreamingReplay reports whether the streaming replay model is active.
-func StreamingReplay() bool { return streamingReplay.Load() }
-
 // SetFleetBatchReplay switches the related-work scheme fleet between the
 // word-parallel batch kernels over the shared transition stream (on, the
 // default) and the per-word reference coders (off), returning the
-// previous setting — the fleet counterpart of SetStreamingReplay.
-// Measurements are bit-identical in both modes; only wall time changes.
+// previous setting. Measurements are bit-identical in both modes; only
+// wall time changes.
 func SetFleetBatchReplay(on bool) bool { return scheme.SetBatchReplay(on) }
 
 // FleetBatchReplay reports whether the fleet batch kernels are active.
@@ -113,7 +92,6 @@ func replayCaptureCtx(ctx context.Context, cap *replay.Capture, cfgs ...Config) 
 	if len(cfgs) == 0 {
 		cfgs = []Config{{}}
 	}
-	g := cap.Graph // built once at capture time, shared by every config
 	out := make([]Measurement, len(cfgs))
 	errs := make([]error, len(cfgs))
 	// Split the clamp between the two nesting levels: with several
@@ -123,10 +101,10 @@ func replayCaptureCtx(ctx context.Context, cap *replay.Capture, cfgs ...Config) 
 	clamp := core.Parallelism()
 	workers := min(clamp, len(cfgs))
 	inner := max(1, clamp/workers)
-	stores := memoStores(cfgs)
+	stores := paperStores(1, cfgs)
 	runPoolCtx(ctx, workers, len(cfgs), func(i int) {
 		env := replayEnv{encWorkers: inner, shared: stores[i]}
-		out[i], _, errs[i] = replayOneCtx(ctx, cap, g, cfgs[i], env)
+		out[i], _, errs[i] = replayOneCtx(ctx, cap, cfgs[i], env)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -157,48 +135,6 @@ func SweepMeasure(benchmarks []Benchmark, cfgs []Config, parallelism int) ([][]M
 		return nil, &res.Errors[0]
 	}
 	return res.Measurements, nil
-}
-
-// runPool runs f(0..n-1) over at most `workers` goroutines with strided
-// assignment. Each index is processed exactly once; callers that need
-// determinism write into index-addressed slots and resolve errors in
-// index order afterwards.
-func runPool(workers, n int, f func(i int)) {
-	runPoolCtx(context.Background(), workers, n, f)
-}
-
-// runPoolCtx is runPool with cooperative cancellation: once ctx is done,
-// workers stop picking up new indices. Indices already being processed
-// finish (or observe the context themselves); skipped indices keep their
-// zero-value slots, so callers must consult ctx.Err() before trusting
-// the output.
-func runPoolCtx(ctx context.Context, workers, n int, f func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(first int) {
-			defer wg.Done()
-			for i := first; i < n; i += workers {
-				if ctx.Err() != nil {
-					return
-				}
-				f(i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // captureProgram returns the (possibly cached) capture for a program,
@@ -328,26 +264,15 @@ func memoSig(c Config) string {
 	return string(b)
 }
 
-// memoStores groups a configuration list by memo signature and allocates
-// one shared MemoStore per group of two or more; singleton groups get nil
-// — there is nothing to share, so they skip the store locking entirely.
-func memoStores(cfgs []Config) []*replay.MemoStore {
-	groups := make(map[string][]int, len(cfgs))
+// paperStores allocates the shared memo stores of a grid of nb
+// benchmarks over cfgs: one per benchmark and memo-signature group of two
+// or more configurations, indexed bench*len(cfgs)+config.
+func paperStores(nb int, cfgs []Config) []*replay.MemoStore {
+	sigs := make([]string, len(cfgs))
 	for i, c := range cfgs {
-		sig := memoSig(c)
-		groups[sig] = append(groups[sig], i)
+		sigs[i] = memoSig(c)
 	}
-	out := make([]*replay.MemoStore, len(cfgs))
-	for _, idxs := range groups {
-		if len(idxs) < 2 {
-			continue
-		}
-		s := replay.NewMemoStore()
-		for _, i := range idxs {
-			out[i] = s
-		}
-	}
-	return out
+	return sharedPerGroup(nb, sigs, replay.NewMemoStore)
 }
 
 // replayEnv is the per-worker execution environment of one replay cell:
@@ -375,7 +300,6 @@ type measureArena struct {
 func schemeWorkload(cap *replay.Capture, env replayEnv) *scheme.Workload {
 	w := &scheme.Workload{
 		Cap:         cap,
-		Streaming:   StreamingReplay(),
 		EncWorkers:  env.encWorkers,
 		Shared:      env.shared,
 		Stream:      env.stream,
@@ -395,7 +319,7 @@ func schemeWorkload(cap *replay.Capture, env replayEnv) *scheme.Workload {
 // bit-line pool and the replay fetch loop; a cancelled cell returns
 // ctx.Err() wrapped with the configuration. The replay.Result accompanies
 // the Measurement so sweeps can aggregate the memo diagnostics.
-func replayOneCtx(ctx context.Context, cap *replay.Capture, g *cfg.Graph, c Config, env replayEnv) (Measurement, replay.Result, error) {
+func replayOneCtx(ctx context.Context, cap *replay.Capture, c Config, env replayEnv) (Measurement, replay.Result, error) {
 	out, err := scheme.MeasurePaper(ctx, schemeWorkload(cap, env), c.coreConfig())
 	if err != nil {
 		return Measurement{}, replay.Result{}, fmt.Errorf("imtrans: %v: %w", c, err)

@@ -105,64 +105,68 @@ func TestSweepRetryRecoversTransientFault(t *testing.T) {
 	}
 }
 
-// TestSweepCancellation pre-cancels the context: the sweep must stop
-// without measuring anything, return the partial result, and wrap
-// context.Canceled.
+// TestSweepCancellation pre-cancels the context: the sweep and the
+// compare must stop without measuring anything, return the partial
+// result, and wrap context.Canceled.
 func TestSweepCancellation(t *testing.T) {
-	ClearCaptureCache()
-	benches := sweepTestBenches(t, "mmul", "sor")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := SweepMeasureCtx(ctx, benches, sweepTestConfigs, SweepOptions{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want wrapped context.Canceled", err)
-	}
-	if res == nil {
-		t.Fatal("cancelled sweep returned no partial result")
-	}
-	cellCount := len(benches) * len(sweepTestConfigs)
-	if res.Cancelled != cellCount {
-		t.Errorf("Cancelled = %d, want %d", res.Cancelled, cellCount)
-	}
-	if got := res.Counters.Get("sweep_cancelled"); got != uint64(cellCount) {
-		t.Errorf("sweep_cancelled counter = %d, want %d", got, cellCount)
-	}
-	if len(res.Errors) != 0 {
-		t.Errorf("cancellation produced sweep errors: %v", res.Errors)
-	}
+	forEachGrid(t, func(t *testing.T, g supervisedGrid) {
+		ClearCaptureCache()
+		benches := sweepTestBenches(t, "mmul", "sor")
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		res, err := g.run(ctx, benches, firstCols, SweepOptions{})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want wrapped context.Canceled", err)
+		}
+		if res == nil {
+			t.Fatal("cancelled grid returned no partial result")
+		}
+		cellCount := len(benches) * len(firstCols)
+		if res.cancelled != cellCount {
+			t.Errorf("Cancelled = %d, want %d", res.cancelled, cellCount)
+		}
+		if got := res.counter("cancelled"); got != uint64(cellCount) {
+			t.Errorf("%scancelled counter = %d, want %d", res.prefix, got, cellCount)
+		}
+		if len(res.errs) != 0 {
+			t.Errorf("cancellation produced grid errors: %v", res.errs)
+		}
+	})
 }
 
 // TestSweepMidRunCancellation cancels after the first few cells start:
-// the sweep stops within a task granule, keeps the completed cells, and
+// the grid stops within a task granule, keeps the completed cells, and
 // wraps context.Canceled.
 func TestSweepMidRunCancellation(t *testing.T) {
-	ClearCaptureCache()
-	benches := sweepTestBenches(t, "mmul", "sor", "lu")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var started atomic.Int64
-	res, err := SweepMeasureCtx(ctx, benches, sweepTestConfigs, SweepOptions{
-		Parallelism: 1,
-		FaultInject: func(bench, config, attempt int) error {
-			if started.Add(1) == 3 {
-				cancel()
-			}
-			return nil
-		},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want wrapped context.Canceled", err)
-	}
-	if res.Completed == 0 || res.Cancelled == 0 {
-		t.Errorf("Completed = %d, Cancelled = %d; want both nonzero", res.Completed, res.Cancelled)
-	}
-	for bi := range res.Done {
-		for ci, done := range res.Done[bi] {
-			if done && res.Measurements[bi][ci].Baseline == 0 {
-				t.Errorf("cell (%d,%d) marked done but empty", bi, ci)
+	forEachGrid(t, func(t *testing.T, g supervisedGrid) {
+		ClearCaptureCache()
+		benches := sweepTestBenches(t, "mmul", "sor", "lu")
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var started atomic.Int64
+		res, err := g.run(ctx, benches, firstCols, SweepOptions{
+			Parallelism: 1,
+			FaultInject: func(bench, config, attempt int) error {
+				if started.Add(1) == 3 {
+					cancel()
+				}
+				return nil
+			},
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want wrapped context.Canceled", err)
+		}
+		if res.completed == 0 || res.cancelled == 0 {
+			t.Errorf("Completed = %d, Cancelled = %d; want both nonzero", res.completed, res.cancelled)
+		}
+		for bi := range res.done {
+			for ci, done := range res.done[bi] {
+				if done && res.baseline[bi][ci] == 0 {
+					t.Errorf("cell (%d,%d) marked done but empty", bi, ci)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestSweepCheckpointResumeBitIdentical is the resume acceptance check
@@ -242,80 +246,84 @@ func TestSweepCheckpointResumeBitIdentical(t *testing.T) {
 // TestSweepCheckpointGridMismatch asserts a journal written for one grid
 // refuses to resume a different one.
 func TestSweepCheckpointGridMismatch(t *testing.T) {
-	ClearCaptureCache()
-	benches := sweepTestBenches(t, "mmul")
-	path := filepath.Join(t.TempDir(), "sweep.checkpoint")
-	if _, err := SweepMeasureCtx(context.Background(), benches, sweepTestConfigs, SweepOptions{Checkpoint: path}); err != nil {
-		t.Fatalf("first sweep: %v", err)
-	}
-	other := []Config{{BlockSize: 6}}
-	if _, err := SweepMeasureCtx(context.Background(), benches, other, SweepOptions{Checkpoint: path}); err == nil {
-		t.Fatal("journal from a different grid was accepted")
-	}
+	forEachGrid(t, func(t *testing.T, g supervisedGrid) {
+		ClearCaptureCache()
+		benches := sweepTestBenches(t, "mmul")
+		path := filepath.Join(t.TempDir(), "grid.checkpoint")
+		if _, err := g.run(context.Background(), benches, firstCols, SweepOptions{Checkpoint: path}); err != nil {
+			t.Fatalf("first run: %v", err)
+		}
+		if _, err := g.run(context.Background(), benches, []int{2}, SweepOptions{Checkpoint: path}); err == nil {
+			t.Fatal("journal from a different grid was accepted")
+		}
+	})
 }
 
 // TestSweepBreakerFailsFast trips the circuit breaker with permanent
 // faults: once open, remaining cells are refused with ErrSweepTripped
 // instead of being ground through.
 func TestSweepBreakerFailsFast(t *testing.T) {
-	ClearCaptureCache()
-	benches := sweepTestBenches(t, "mmul")
-	cfgs := []Config{{BlockSize: 4}, {BlockSize: 5}, {BlockSize: 6}, {BlockSize: 7}}
-	plan := SweepFaultPlan{ErrorCells: [][2]int{{0, 0}, {0, 1}, {0, 2}, {0, 3}}}
-	res, err := SweepMeasureCtx(context.Background(), benches, cfgs, SweepOptions{
-		Parallelism:      1,
-		BreakerThreshold: 2,
-		FaultInject:      plan.Injector(),
-	})
-	if err != nil {
-		t.Fatalf("SweepMeasureCtx: %v", err)
-	}
-	if len(res.Errors) != len(cfgs) {
-		t.Fatalf("got %d errors, want %d", len(res.Errors), len(cfgs))
-	}
-	tripped := 0
-	for i := range res.Errors {
-		if errors.Is(res.Errors[i].Err, ErrSweepTripped) {
-			tripped++
+	forEachGrid(t, func(t *testing.T, g supervisedGrid) {
+		ClearCaptureCache()
+		benches := sweepTestBenches(t, "mmul")
+		cols := []int{0, 1, 2, 3}
+		plan := SweepFaultPlan{ErrorCells: [][2]int{{0, 0}, {0, 1}, {0, 2}, {0, 3}}}
+		res, err := g.run(context.Background(), benches, cols, SweepOptions{
+			Parallelism:      1,
+			BreakerThreshold: 2,
+			FaultInject:      plan.Injector(),
+		})
+		if err != nil {
+			t.Fatalf("run: %v", err)
 		}
-	}
-	if tripped != 2 {
-		t.Errorf("tripped cells = %d, want 2 (threshold 2 of 4 failing cells)", tripped)
-	}
-	if got := res.Counters.Get("sweep_breaker_tripped"); got != uint64(tripped) {
-		t.Errorf("sweep_breaker_tripped = %d, want %d", got, tripped)
-	}
+		if len(res.errs) != len(cols) {
+			t.Fatalf("got %d errors, want %d", len(res.errs), len(cols))
+		}
+		tripped := 0
+		for _, e := range res.errs {
+			if errors.Is(e.err, ErrSweepTripped) {
+				tripped++
+			}
+		}
+		if tripped != 2 {
+			t.Errorf("tripped cells = %d, want 2 (threshold 2 of 4 failing cells)", tripped)
+		}
+		if got := res.counter("breaker_tripped"); got != uint64(tripped) {
+			t.Errorf("%sbreaker_tripped = %d, want %d", res.prefix, got, tripped)
+		}
+	})
 }
 
 // TestSweepCaptureFailureIsolated gives the grid one benchmark that can
-// never assemble: its cells are skipped with a capture-stage SweepError
-// while the healthy benchmark completes.
+// never assemble: its cells are skipped with a capture-stage error
+// (column index -1) while the healthy benchmark completes.
 func TestSweepCaptureFailureIsolated(t *testing.T) {
-	ClearCaptureCache()
-	good := sweepTestBenches(t, "mmul")[0]
-	bad := Benchmark{Name: "bogus"} // no workload behind it
-	res, err := SweepMeasureCtx(context.Background(), []Benchmark{bad, good}, sweepTestConfigs, SweepOptions{})
-	if err != nil {
-		t.Fatalf("SweepMeasureCtx: %v", err)
-	}
-	if len(res.Errors) != 1 {
-		t.Fatalf("got %d errors, want 1: %v", len(res.Errors), res.Errors)
-	}
-	se := &res.Errors[0]
-	if se.Stage != "capture" || se.BenchIndex != 0 || se.ConfigIndex != -1 || se.Benchmark != "bogus" {
-		t.Errorf("capture failure misreported: %+v", se)
-	}
-	for ci := range sweepTestConfigs {
-		if res.Done[0][ci] {
-			t.Errorf("cell (0,%d) of the broken benchmark marked done", ci)
+	forEachGrid(t, func(t *testing.T, g supervisedGrid) {
+		ClearCaptureCache()
+		good := sweepTestBenches(t, "mmul")[0]
+		bad := Benchmark{Name: "bogus"} // no workload behind it
+		res, err := g.run(context.Background(), []Benchmark{bad, good}, firstCols, SweepOptions{})
+		if err != nil {
+			t.Fatalf("run: %v", err)
 		}
-		if !res.Done[1][ci] {
-			t.Errorf("cell (1,%d) of the healthy benchmark not measured", ci)
+		if len(res.errs) != 1 {
+			t.Fatalf("got %d errors, want 1: %v", len(res.errs), res.errs)
 		}
-	}
-	if got := res.Counters.Get("sweep_skipped"); got != uint64(len(sweepTestConfigs)) {
-		t.Errorf("sweep_skipped = %d, want %d", got, len(sweepTestConfigs))
-	}
+		if e := res.errs[0]; e.stage != "capture" || e.bi != 0 || e.col != -1 || e.bench != "bogus" {
+			t.Errorf("capture failure misreported: %+v", e)
+		}
+		for ci := range firstCols {
+			if res.done[0][ci] {
+				t.Errorf("cell (0,%d) of the broken benchmark marked done", ci)
+			}
+			if !res.done[1][ci] {
+				t.Errorf("cell (1,%d) of the healthy benchmark not measured", ci)
+			}
+		}
+		if got := res.counter("skipped"); got != uint64(len(firstCols)) {
+			t.Errorf("%sskipped = %d, want %d", res.prefix, got, len(firstCols))
+		}
+	})
 }
 
 // TestSweepMeasureLegacyFailFast asserts the legacy facade still fails
@@ -390,50 +398,47 @@ func TestSetParallelismContract(t *testing.T) {
 // restored count is reported up front, every completed cell is reported,
 // counts never decrease, and the final report covers the whole grid.
 func TestSweepProgressReporting(t *testing.T) {
-	ClearCaptureCache()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.json")
-	benches := sweepTestBenches(t, "mmul", "sor")
-	cfgs := sweepTestConfigs
-	total := len(benches) * len(cfgs)
+	forEachGrid(t, func(t *testing.T, g supervisedGrid) {
+		ClearCaptureCache()
+		path := filepath.Join(t.TempDir(), "ck.json")
+		benches := sweepTestBenches(t, "mmul", "sor")
+		total := len(benches) * len(firstCols)
 
-	var calls []int
-	record := func(done, tot int) {
-		if tot != total {
-			t.Errorf("Progress total = %d, want %d", tot, total)
+		var calls []int
+		record := func(done, tot int) {
+			if tot != total {
+				t.Errorf("Progress total = %d, want %d", tot, total)
+			}
+			calls = append(calls, done)
 		}
-		calls = append(calls, done)
-	}
-	// Serial run so the callback slice needs no locking.
-	if _, err := SweepMeasureCtx(context.Background(), benches, cfgs, SweepOptions{
-		Parallelism: 1, Checkpoint: path, Progress: record,
-	}); err != nil {
-		t.Fatalf("SweepMeasureCtx: %v", err)
-	}
-	if len(calls) != total+1 {
-		t.Fatalf("progress calls = %v, want the restored report plus one per cell", calls)
-	}
-	if calls[0] != 0 {
-		t.Fatalf("first progress report = %d, want 0 restored", calls[0])
-	}
-	for i := 1; i < len(calls); i++ {
-		if calls[i] < calls[i-1] {
-			t.Fatalf("progress went backwards: %v", calls)
+		// Serial run so the callback slice needs no locking.
+		opts := SweepOptions{Parallelism: 1, Checkpoint: path, Progress: record}
+		if _, err := g.run(context.Background(), benches, firstCols, opts); err != nil {
+			t.Fatalf("run: %v", err)
 		}
-	}
-	if calls[len(calls)-1] != total {
-		t.Fatalf("final progress = %d, want %d", calls[len(calls)-1], total)
-	}
+		if len(calls) != total+1 {
+			t.Fatalf("progress calls = %v, want the restored report plus one per cell", calls)
+		}
+		if calls[0] != 0 {
+			t.Fatalf("first progress report = %d, want 0 restored", calls[0])
+		}
+		for i := 1; i < len(calls); i++ {
+			if calls[i] < calls[i-1] {
+				t.Fatalf("progress went backwards: %v", calls)
+			}
+		}
+		if calls[len(calls)-1] != total {
+			t.Fatalf("final progress = %d, want %d", calls[len(calls)-1], total)
+		}
 
-	// A resumed run reports the journalled cells as already done before
-	// any new work.
-	calls = nil
-	if _, err := SweepMeasureCtx(context.Background(), benches, cfgs, SweepOptions{
-		Parallelism: 1, Checkpoint: path, Progress: record,
-	}); err != nil {
-		t.Fatalf("resumed sweep: %v", err)
-	}
-	if len(calls) == 0 || calls[0] != total {
-		t.Fatalf("resumed progress = %v, want %d restored up front", calls, total)
-	}
+		// A resumed run reports the journalled cells as already done before
+		// any new work.
+		calls = nil
+		if _, err := g.run(context.Background(), benches, firstCols, opts); err != nil {
+			t.Fatalf("resumed run: %v", err)
+		}
+		if len(calls) == 0 || calls[0] != total {
+			t.Fatalf("resumed progress = %v, want %d restored up front", calls, total)
+		}
+	})
 }
