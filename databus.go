@@ -3,9 +3,7 @@ package imtrans
 import (
 	"fmt"
 
-	"imtrans/internal/baseline"
 	"imtrans/internal/power"
-	"imtrans/internal/trace"
 )
 
 // DataBusReport measures the data-memory value bus of one run — the bus
@@ -25,42 +23,37 @@ type DataBusReport struct {
 	BusInvertPercent float64 // reduction vs raw
 }
 
-// MeasureDataBus simulates the program once and measures the data-memory
-// value bus raw and under Bus-Invert coding.
+// MeasureDataBus measures the data-memory value bus raw and under
+// Bus-Invert coding. The capture's profiling run sums the bus as it goes,
+// so the study reads the program's cached capture (profiling it on first
+// use) and costs no simulation of its own.
 func MeasureDataBus(p *Program, setup func(Memory) error) (*DataBusReport, error) {
-	m, err := newMachine(p, setup)
+	return measureDataBus(p, setup, "")
+}
+
+func measureDataBus(p *Program, setup func(Memory) error, salt string) (*DataBusReport, error) {
+	cap, err := captureProgram(p, setup, salt)
 	if err != nil {
 		return nil, err
 	}
-	bus := trace.NewBus(32)
-	inv := baseline.NewBusInvert(32)
-	rep := &DataBusReport{}
-	m.OnData = func(addr, value uint32, store bool) {
-		rep.Accesses++
-		if store {
-			rep.Stores++
-		} else {
-			rep.Loads++
-		}
-		bus.Transfer(value)
-		inv.Transfer(value)
-	}
-	if err := m.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: data-bus run: %w", err)
-	}
-	rep.Transitions = bus.Total()
-	rep.BusInvert = inv.Total()
-	rep.BusInvertPercent = power.Reduction(rep.Transitions, rep.BusInvert)
-	return rep, nil
+	return &DataBusReport{
+		Accesses:         cap.DataLoads + cap.DataStores,
+		Loads:            cap.DataLoads,
+		Stores:           cap.DataStores,
+		Transitions:      cap.DataTransitions,
+		BusInvert:        cap.DataBusInvert,
+		BusInvertPercent: power.Reduction(cap.DataTransitions, cap.DataBusInvert),
+	}, nil
 }
 
-// MeasureDataBus runs the data-bus study on the benchmark.
+// MeasureDataBus runs the data-bus study on the benchmark, sharing the
+// benchmark's capture with Measure.
 func (b Benchmark) MeasureDataBus() (*DataBusReport, error) {
 	p, err := b.Program()
 	if err != nil {
 		return nil, err
 	}
-	r, err := MeasureDataBus(p, b.setup)
+	r, err := measureDataBus(p, b.setup, b.captureSalt())
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

@@ -1,13 +1,15 @@
 // Package mem provides the byte-addressable little-endian data memory used
 // by the MR32 functional simulator. The address space is sparse (text,
 // data and stack segments live far apart, following the SimpleScalar/SPIM
-// layout), so storage is paged on demand.
+// layout), so storage is paged on demand through a two-level page
+// directory: the top 10 address bits select a page table, the next 10 a
+// page, and the low 12 the byte.
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Conventional segment bases, matching the SPIM/SimpleScalar layout the
@@ -19,41 +21,65 @@ const (
 )
 
 const (
-	pageShift = 12
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
+	pageShift  = 12
+	pageSize   = 1 << pageShift
+	pageMask   = pageSize - 1
+	tableShift = 10
+	tableSize  = 1 << tableShift // pages per table, and tables per directory
+	tableMask  = tableSize - 1
 )
+
+type page [pageSize]byte
+
+// pageTable maps the middle ten address bits to pages.
+type pageTable [tableSize]*page
 
 // Memory is a sparse byte-addressable memory. The zero value is ready to
 // use. Memory is not safe for concurrent mutation.
 type Memory struct {
-	pages map[uint32][]byte
-	// last-page cache avoids a map lookup on the common sequential access
-	// pattern of the simulator's loads and stores.
-	lastIdx  uint32
-	lastPage []byte
+	dir    [tableSize]*pageTable
+	npages int
 }
 
 // New returns an empty memory.
-func New() *Memory {
-	return &Memory{pages: make(map[uint32][]byte)}
+func New() *Memory { return &Memory{} }
+
+// page returns the page holding addr, allocating it (and its page table)
+// on first touch — loads touch pages as well as stores, so Footprint
+// counts every page the program has addressed.
+func (m *Memory) page(addr uint32) *page {
+	if t := m.dir[addr>>(pageShift+tableShift)]; t != nil {
+		if p := t[addr>>pageShift&tableMask]; p != nil {
+			return p
+		}
+	}
+	return m.alloc(addr)
 }
 
-func (m *Memory) page(addr uint32) []byte {
-	idx := addr >> pageShift
-	if m.lastPage != nil && m.lastIdx == idx {
-		return m.lastPage
+// alloc is page's slow path, kept out of line so the accessors' fast
+// path stays small and needs no stack frame for it.
+//
+//go:noinline
+func (m *Memory) alloc(addr uint32) *page {
+	t := m.dir[addr>>(pageShift+tableShift)]
+	if t == nil {
+		t = new(pageTable)
+		m.dir[addr>>(pageShift+tableShift)] = t
 	}
-	if m.pages == nil {
-		m.pages = make(map[uint32][]byte)
+	p := t[addr>>pageShift&tableMask]
+	if p == nil {
+		p = new(page)
+		t[addr>>pageShift&tableMask] = p
+		m.npages++
 	}
-	p, ok := m.pages[idx]
-	if !ok {
-		p = make([]byte, pageSize)
-		m.pages[idx] = p
-	}
-	m.lastIdx, m.lastPage = idx, p
 	return p
+}
+
+// unaligned reports a misaligned access, out of line for the same reason.
+//
+//go:noinline
+func unaligned(access string, addr uint32) error {
+	return fmt.Errorf("mem: unaligned %s at %#x", access, addr)
 }
 
 // LoadByte returns the byte at addr.
@@ -70,23 +96,20 @@ func (m *Memory) StoreByte(addr uint32, v byte) {
 // 2-byte aligned.
 func (m *Memory) LoadHalf(addr uint32) (uint16, error) {
 	if addr&1 != 0 {
-		return 0, fmt.Errorf("mem: unaligned halfword load at %#x", addr)
+		return 0, unaligned("halfword load", addr)
 	}
-	p := m.page(addr)
 	off := addr & pageMask
-	return uint16(p[off]) | uint16(p[off+1])<<8, nil
+	return binary.LittleEndian.Uint16(m.page(addr)[off : off+2]), nil
 }
 
 // StoreHalf writes the little-endian 16-bit value at addr. addr must be
 // 2-byte aligned.
 func (m *Memory) StoreHalf(addr uint32, v uint16) error {
 	if addr&1 != 0 {
-		return fmt.Errorf("mem: unaligned halfword store at %#x", addr)
+		return unaligned("halfword store", addr)
 	}
-	p := m.page(addr)
 	off := addr & pageMask
-	p[off] = byte(v)
-	p[off+1] = byte(v >> 8)
+	binary.LittleEndian.PutUint16(m.page(addr)[off:off+2], v)
 	return nil
 }
 
@@ -94,25 +117,20 @@ func (m *Memory) StoreHalf(addr uint32, v uint16) error {
 // 4-byte aligned.
 func (m *Memory) LoadWord(addr uint32) (uint32, error) {
 	if addr&3 != 0 {
-		return 0, fmt.Errorf("mem: unaligned word load at %#x", addr)
+		return 0, unaligned("word load", addr)
 	}
-	p := m.page(addr)
 	off := addr & pageMask
-	return uint32(p[off]) | uint32(p[off+1])<<8 | uint32(p[off+2])<<16 | uint32(p[off+3])<<24, nil
+	return binary.LittleEndian.Uint32(m.page(addr)[off : off+4]), nil
 }
 
 // StoreWord writes the little-endian 32-bit value at addr. addr must be
 // 4-byte aligned.
 func (m *Memory) StoreWord(addr uint32, v uint32) error {
 	if addr&3 != 0 {
-		return fmt.Errorf("mem: unaligned word store at %#x", addr)
+		return unaligned("word store", addr)
 	}
-	p := m.page(addr)
 	off := addr & pageMask
-	p[off] = byte(v)
-	p[off+1] = byte(v >> 8)
-	p[off+2] = byte(v >> 16)
-	p[off+3] = byte(v >> 24)
+	binary.LittleEndian.PutUint32(m.page(addr)[off:off+4], v)
 	return nil
 }
 
@@ -190,16 +208,22 @@ func (m *Memory) LoadString(addr uint32, max int) string {
 // Footprint returns the number of distinct pages touched and the total
 // bytes they occupy — a cheap capacity diagnostic.
 func (m *Memory) Footprint() (pages int, bytes int) {
-	return len(m.pages), len(m.pages) * pageSize
+	return m.npages, m.npages * pageSize
 }
 
 // TouchedPages lists the base addresses of allocated pages in ascending
 // order. Useful in tests and debug dumps.
 func (m *Memory) TouchedPages() []uint32 {
-	out := make([]uint32, 0, len(m.pages))
-	for idx := range m.pages {
-		out = append(out, idx<<pageShift)
+	out := make([]uint32, 0, m.npages)
+	for ti, t := range m.dir {
+		if t == nil {
+			continue
+		}
+		for pi, p := range t {
+			if p != nil {
+				out = append(out, uint32(ti)<<(pageShift+tableShift)|uint32(pi)<<pageShift)
+			}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -36,14 +36,14 @@ func ProgramKey(textBase uint32, text []uint32, dataBase uint32, data []byte, sa
 }
 
 // Capture is everything one profiling run of a program yields: the
-// compressed fetch trace, the execution profile, and the stream statistics
-// that do not depend on the encoding configuration (baseline bus, the
-// bus-invert and dictionary comparators). The run itself records only the
-// trace and the profile; the stream statistics are derived from the trace
-// once, right after it, and stored here so cached and persisted captures
-// serve them without recomputation. Replaying a capture against an
-// encoding reproduces MeasureProgram's output bit for bit without running
-// the CPU again.
+// compressed fetch trace, the execution profile, the data-bus totals, and
+// the stream statistics that do not depend on the encoding configuration
+// (baseline bus, the bus-invert and dictionary comparators). The run
+// itself records the trace, the profile and the data bus; the stream
+// statistics are derived from the trace once, right after it, and stored
+// here so cached and persisted captures serve them without
+// recomputation. Replaying a capture against an encoding reproduces
+// MeasureProgram's output bit for bit without running the CPU again.
 type Capture struct {
 	Key   Key
 	Base  uint32   // text base address
@@ -63,6 +63,13 @@ type Capture struct {
 	BusInvertTotal  uint64
 	DictionaryTotal uint64
 	DictionaryBits  int
+
+	// The data-memory value bus of the run: loads and stores, raw
+	// transitions, and Bus-Invert transitions with the invert line.
+	DataLoads       uint64
+	DataStores      uint64
+	DataTransitions uint64
+	DataBusInvert   uint64
 }
 
 // DefaultCacheLimit bounds the shared capture cache. Captures hold the

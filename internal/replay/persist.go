@@ -64,10 +64,16 @@ type captureEnvelope struct {
 	BusInvertTotal  uint64   `json:"bus_invert_total"`
 	DictionaryTotal uint64   `json:"dictionary_total"`
 	DictionaryBits  int      `json:"dictionary_bits"`
+	DataLoads       uint64   `json:"data_loads"`
+	DataStores      uint64   `json:"data_stores"`
+	DataTransitions uint64   `json:"data_transitions"`
+	DataBusInvert   uint64   `json:"data_bus_invert"`
 }
 
-// captureMagic identifies a persisted capture payload.
-const captureMagic = "imtrans-capture/1"
+// captureMagic identifies a persisted capture payload. Version 2 added
+// the data-bus totals; a version 1 payload lacks them, so it is rejected
+// (a tier miss) and the program is profiled again.
+const captureMagic = "imtrans-capture/2"
 
 // EncodeCapture serialises a capture for the persistent tier.
 func EncodeCapture(c *Capture) ([]byte, error) {
@@ -88,6 +94,10 @@ func EncodeCapture(c *Capture) ([]byte, error) {
 		BusInvertTotal:  c.BusInvertTotal,
 		DictionaryTotal: c.DictionaryTotal,
 		DictionaryBits:  c.DictionaryBits,
+		DataLoads:       c.DataLoads,
+		DataStores:      c.DataStores,
+		DataTransitions: c.DataTransitions,
+		DataBusInvert:   c.DataBusInvert,
 	})
 }
 
@@ -147,6 +157,10 @@ func DecodeCapture(data []byte) (*Capture, error) {
 		BusInvertTotal:  env.BusInvertTotal,
 		DictionaryTotal: env.DictionaryTotal,
 		DictionaryBits:  env.DictionaryBits,
+		DataLoads:       env.DataLoads,
+		DataStores:      env.DataStores,
+		DataTransitions: env.DataTransitions,
+		DataBusInvert:   env.DataBusInvert,
 	}, nil
 }
 

@@ -16,6 +16,8 @@ func TestCaptureEncodeDecodeRoundTrip(t *testing.T) {
 	cp.BusInvertTotal = 999
 	cp.DictionaryTotal = 42
 	cp.DictionaryBits = 8
+	cp.DataLoads, cp.DataStores = 70, 30
+	cp.DataTransitions, cp.DataBusInvert = 555, 444
 
 	data, err := EncodeCapture(cp)
 	if err != nil {
@@ -42,7 +44,9 @@ func TestCaptureEncodeDecodeRoundTrip(t *testing.T) {
 		!reflect.DeepEqual(got.BaselinePerLine, cp.BaselinePerLine) ||
 		got.BusInvertTotal != cp.BusInvertTotal ||
 		got.DictionaryTotal != cp.DictionaryTotal ||
-		got.DictionaryBits != cp.DictionaryBits {
+		got.DictionaryBits != cp.DictionaryBits ||
+		got.DataLoads != cp.DataLoads || got.DataStores != cp.DataStores ||
+		got.DataTransitions != cp.DataTransitions || got.DataBusInvert != cp.DataBusInvert {
 		t.Fatal("decoded statistics differ")
 	}
 	if got.Graph == nil {
@@ -230,5 +234,101 @@ func TestCacheTierRejectsWrongKey(t *testing.T) {
 	}
 	if hits, _ := c.TierStats(); hits != 0 {
 		t.Fatalf("tier hits = %d, want 0", hits)
+	}
+}
+
+// v1Payload rewrites a current capture payload into the version 1
+// envelope: the old magic and no data-bus fields.
+func v1Payload(t *testing.T, data []byte) []byte {
+	t.Helper()
+	return mutateEnvelope(t, data, func(m map[string]any) {
+		for _, f := range []string{"magic", "data_loads", "data_stores", "data_transitions", "data_bus_invert"} {
+			if _, ok := m[f]; !ok {
+				t.Fatalf("envelope has no %q field", f)
+			}
+		}
+		m["magic"] = "imtrans-capture/1"
+		delete(m, "data_loads")
+		delete(m, "data_stores")
+		delete(m, "data_transitions")
+		delete(m, "data_bus_invert")
+	})
+}
+
+// TestCaptureEnvelopeV2: the envelope is version 2 and carries the
+// data-bus totals; a version 1 payload is rejected rather than decoded
+// with zero data-bus totals.
+func TestCaptureEnvelopeV2(t *testing.T) {
+	cp := captureSource(t, streamLoopSrc)
+	cp.Key = ProgramKey(cp.Base, cp.Words, 0, nil, "v2")
+	cp.DataLoads, cp.DataStores, cp.DataTransitions, cp.DataBusInvert = 3, 4, 5, 6
+	data, err := EncodeCapture(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]any
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env["magic"] != "imtrans-capture/2" {
+		t.Fatalf("magic = %v", env["magic"])
+	}
+	for f, want := range map[string]float64{"data_loads": 3, "data_stores": 4, "data_transitions": 5, "data_bus_invert": 6} {
+		if env[f] != want {
+			t.Errorf("%s = %v, want %v", f, env[f], want)
+		}
+	}
+	if _, err := DecodeCapture(v1Payload(t, data)); err == nil {
+		t.Fatal("version 1 payload decoded")
+	}
+}
+
+// TestCacheTierV1IsMiss: a version 1 capture left in the tier by an older
+// build is a miss — the program re-profiles and the fresh capture, with
+// its data-bus totals, replaces it.
+func TestCacheTierV1IsMiss(t *testing.T) {
+	cp := captureSource(t, streamLoopSrc)
+	key := ProgramKey(cp.Base, cp.Words, 0, nil, "v1")
+	cp.Key = key
+	data, err := EncodeCapture(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := newMapTier()
+	tier.Put(tierName(key), v1Payload(t, data))
+
+	c := NewCache()
+	c.SetTier(tier)
+	ran := 0
+	got, err := c.GetOrCapture(key, func() (*Capture, error) {
+		ran++
+		fresh := captureSource(t, streamLoopSrc)
+		fresh.Key = key
+		fresh.DataLoads, fresh.DataStores = 11, 12
+		return fresh, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran != 1 {
+		t.Fatalf("version 1 tier payload was trusted (ran=%d)", ran)
+	}
+	if hits, _ := c.TierStats(); hits != 0 {
+		t.Fatalf("tier hits = %d, want 0", hits)
+	}
+	if got.DataLoads != 11 || got.DataStores != 12 {
+		t.Fatalf("served capture has data bus %d/%d, want the fresh 11/12", got.DataLoads, got.DataStores)
+	}
+	c.FlushTier()
+	stored, err := tier.Get(tierName(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeCapture(stored)
+	if err != nil {
+		t.Fatalf("re-profiled capture not written back as version 2: %v", err)
+	}
+	if back.DataLoads != 11 {
+		t.Fatalf("written-back capture has %d loads", back.DataLoads)
 	}
 }

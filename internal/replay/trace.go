@@ -29,13 +29,13 @@ type Op struct {
 }
 
 // leafEqual reports whether two ops are equal without descending into
-// bodies — the cheap precheck of the tandem-repeat scan.
-func leafEqual(a, b Op) bool {
+// bodies — the cheap precheck of a tandem-repeat comparison.
+func leafEqual(a, b *Op) bool {
 	return a.Delta == b.Delta && a.Count == b.Count && a.Repeat == b.Repeat &&
 		(a.Repeat == 0 || len(a.Body) == len(b.Body))
 }
 
-func opEqual(a, b Op) bool {
+func opEqual(a, b *Op) bool {
 	if !leafEqual(a, b) {
 		return false
 	}
@@ -50,7 +50,7 @@ func opsEqual(a, b []Op) bool {
 		return false
 	}
 	for i := range a {
-		if !opEqual(a[i], b[i]) {
+		if !opEqual(&a[i], &b[i]) {
 			return false
 		}
 	}
@@ -134,8 +134,49 @@ func (t *Trace) Indices(fn func(idx int32)) {
 // the per-token cost bounded.
 const maxTandemWindow = 24
 
+// The builder fingerprints every op on its stack structurally (a group's
+// fingerprint covers its repeat count and, through a sequence hash, its
+// whole body) and keeps a polynomial prefix hash over the stack, so the
+// hash of any tail window is two multiplies away. Equal ops have equal
+// fingerprints and equal windows equal hashes; collapseTail compares
+// hashes first and runs the exact comparison only on a hash match, so a
+// collision costs time, never a wrong fold.
+const (
+	hashBase    = 0x9e3779b97f4a7c15 // odd multiplier of the prefix hash
+	hashBuckets = 256                // fingerprint buckets of the fold index
+)
+
+// hashPow[w] is hashBase^w, for window widths up to the fold window.
+var hashPow = func() (p [maxTandemWindow + 1]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * hashBase
+	}
+	return p
+}()
+
+// fingerprint hashes op structurally; body is the sequence hash of a
+// group's body (unused for a run). One multiply spreads the fields into
+// the high bits, which pick the bucket.
+func fingerprint(op *Op, body uint64) uint64 {
+	h := (uint64(uint32(op.Delta)) ^ uint64(op.Count)<<32 ^ uint64(op.Count)>>32) * 0xbf58476d1ce4e5b9
+	if op.Repeat > 0 {
+		h = (h ^ body ^ uint64(op.Repeat)*0x94d049bb133111eb ^ uint64(len(op.Body))) * 0xc2b2ae3d27d4eb4f
+	}
+	return h ^ h>>29
+}
+
+// opMeta is the builder's index entry for one op of its stack.
+type opMeta struct {
+	fp   uint64 // structural fingerprint of the op
+	pre  uint64 // sequence hash of the stack up to and including the op
+	body uint64 // sequence hash of a group's body
+	prev int32  // next op below in the same fingerprint bucket, plus one
+}
+
 // Builder incrementally compresses a fetch-index stream. Feed it every
-// fetched text index in order via Add, then call Trace.
+// fetched text index in order, one at a time via Add or as sequential
+// ranges via AddRange, then call Trace.
 type Builder struct {
 	first    int32
 	n        uint64
@@ -143,6 +184,17 @@ type Builder struct {
 	curDelta int32
 	curCount int64
 	ops      []Op
+
+	// The index collapseTail searches instead of scanning every window:
+	// meta runs parallel to ops, bucket[k] is the topmost op (plus one;
+	// zero means none) whose fingerprint falls in bucket k, groups holds
+	// the ascending stack positions of the repeat groups, and due[e]
+	// counts the groups an op at position e would complete one more
+	// iteration of (those at p with p+len(Body) == e).
+	meta   []opMeta
+	bucket [hashBuckets]int32
+	groups []int32
+	due    []int32
 }
 
 // NewBuilder returns an empty trace builder.
@@ -166,53 +218,188 @@ func (b *Builder) Add(idx int) {
 	b.curDelta, b.curCount = delta, 1
 }
 
+// AddRange records n fetches of the sequential indices from, from+1, ...,
+// from+n-1 — exactly n calls of Add, in constant time.
+func (b *Builder) AddRange(from, n int) {
+	if n <= 0 {
+		return
+	}
+	b.Add(from)
+	if n == 1 {
+		return
+	}
+	rest := int64(n - 1)
+	b.n += uint64(rest)
+	b.lastIdx = int32(from + n - 1)
+	if b.curCount > 0 && b.curDelta == 1 {
+		b.curCount += rest
+		return
+	}
+	b.flushRun()
+	b.curDelta, b.curCount = 1, rest
+}
+
 func (b *Builder) flushRun() {
 	if b.curCount == 0 {
 		return
 	}
-	b.push(Op{Delta: b.curDelta, Count: b.curCount})
+	// Push the finished run and eagerly collapse tandem repeats at the
+	// tail of the op stack. A run that completes another iteration of a
+	// repeat group is folded into it without touching the stack.
+	if !b.extendWithRun(b.curDelta, b.curCount) {
+		b.pushOp(b.curDelta, b.curCount, 0, nil, 0)
+		if !b.fold() {
+			b.curCount = 0
+			return
+		}
+	}
+	for b.collapseTail() {
+	}
 	b.curCount = 0
 }
 
-// push appends a finished op and eagerly collapses tandem repeats at the
-// tail of the op stack. Amortised cost per op is O(maxTandemWindow): the
-// window scans are O(1) prechecks, and the full window comparison runs at
-// most once per successful collapse.
-func (b *Builder) push(op Op) {
-	b.ops = append(b.ops, op)
-	for b.collapseTail() {
+// pushOp appends the op {delta, count, repeat, body}, where bodyHash is
+// the sequence hash of a group's body. The fields are stored in place:
+// passing an Op by value costs a stack round trip per push.
+func (b *Builder) pushOp(delta int32, count, repeat int64, body []Op, bodyHash uint64) {
+	pos := len(b.ops)
+	b.ops = append(b.ops, Op{})
+	op := &b.ops[pos]
+	op.Delta, op.Count, op.Repeat, op.Body = delta, count, repeat, body
+	b.meta = append(b.meta, opMeta{body: bodyHash})
+	b.index(pos)
+	if repeat > 0 {
+		b.groups = append(b.groups, int32(pos))
+		e := pos + len(body)
+		for len(b.due) <= e {
+			b.due = append(b.due, 0)
+		}
+		b.due[e]++
 	}
+}
+
+// index fingerprints the op at pos, the top of the stack, extends the
+// prefix hash over it and files it in its bucket.
+func (b *Builder) index(pos int) {
+	m := &b.meta[pos]
+	m.fp = fingerprint(&b.ops[pos], m.body)
+	m.pre = m.fp
+	if pos > 0 {
+		m.pre += b.meta[pos-1].pre * hashBase
+	}
+	k := uint8(m.fp >> 56)
+	m.prev = b.bucket[k]
+	b.bucket[k] = int32(pos) + 1
+}
+
+// truncate pops the stack down to n ops. Ops leave from the top, so each
+// is the topmost of its bucket when it goes.
+func (b *Builder) truncate(n int) {
+	for i := len(b.ops) - 1; i >= n; i-- {
+		b.bucket[uint8(b.meta[i].fp>>56)] = b.meta[i].prev
+	}
+	g := len(b.groups)
+	for g > 0 && int(b.groups[g-1]) >= n {
+		g--
+		p := int(b.groups[g])
+		b.due[p+len(b.ops[p].Body)]--
+	}
+	b.ops, b.meta, b.groups = b.ops[:n], b.meta[:n], b.groups[:g]
+}
+
+// window returns the sequence hash of ops[l:r].
+func (b *Builder) window(l, r int) uint64 {
+	h := b.meta[r-1].pre
+	if l > 0 {
+		h -= b.meta[l-1].pre * hashPow[r-l]
+	}
+	return h
 }
 
 // collapseTail tries, in order: extending a repeat group that immediately
 // precedes an equal tail window, and folding two equal adjacent tail
-// windows into a new repeat group. Returns true if it changed the stack.
+// windows into a new repeat group, each at the smallest window width
+// (1..maxTandemWindow) that applies. Returns true if it changed the stack.
+// Only candidate windows are visited — the repeat groups within reach for
+// an extension, the earlier ops in the last op's fingerprint bucket for a
+// fold — and only a hash match is compared op by op.
 func (b *Builder) collapseTail() bool {
+	return b.extend() || b.fold()
+}
+
+// extend: ... Repeat{body} body  =>  ... Repeat{body; Repeat+1}.
+func (b *Builder) extend() bool {
 	n := len(b.ops)
-	// Extend: ... Repeat{body} body  =>  ... Repeat{body; Repeat+1}.
-	for w := 1; w <= maxTandemWindow && w < n; w++ {
-		g := &b.ops[n-w-1]
-		if g.Repeat == 0 || len(g.Body) != w {
+	return b.extendTo(n-1, &b.ops[n-1], b.meta[n-1].fp)
+}
+
+// extendWithRun is extend as it would run right after pushing the run
+// {delta, count}, without pushing it: a run the stack would absorb into a
+// group at once never enters it.
+func (b *Builder) extendWithRun(delta int32, count int64) bool {
+	run := Op{Delta: delta, Count: count}
+	return b.extendTo(len(b.ops), &run, fingerprint(&run, 0))
+}
+
+// extendTo extends the nearest group whose body equals ops[p+1:top]
+// followed by last, the op (with fingerprint fp) at position top.
+func (b *Builder) extendTo(top int, last *Op, fp uint64) bool {
+	if top >= len(b.due) || b.due[top] == 0 {
+		return false
+	}
+	for k := len(b.groups) - 1; k >= 0; k-- {
+		p := int(b.groups[k])
+		w := top - p
+		if w > maxTandemWindow {
+			break
+		}
+		g := &b.ops[p]
+		if len(g.Body) != w { // also skips a group at top itself
 			continue
 		}
-		if !opsEqual(g.Body, b.ops[n-w:]) {
+		h := fp
+		if w > 1 {
+			h += b.window(p+1, top) * hashBase
+		}
+		if b.meta[p].body != h || !opEqual(&g.Body[w-1], last) || !opsEqual(g.Body[:w-1], b.ops[p+1:top]) {
 			continue
 		}
-		g.Repeat++
-		b.ops = b.ops[:n-w]
+		b.bumpGroup(p)
 		return true
 	}
-	// Fold: ... body body  =>  ... Repeat{body; 2}.
-	for w := 1; w <= maxTandemWindow && 2*w <= n; w++ {
-		if !leafEqual(b.ops[n-1], b.ops[n-1-w]) {
-			continue // cheap precheck on the last op of each window
+	return false
+}
+
+// bumpGroup counts one more iteration of the group at p, whose body the
+// ops above it repeat, and drops them. The group's repeat count is part
+// of its fingerprint, so it is re-indexed.
+func (b *Builder) bumpGroup(p int) {
+	b.truncate(p + 1)
+	b.bucket[uint8(b.meta[p].fp>>56)] = b.meta[p].prev
+	b.ops[p].Repeat++
+	b.index(p)
+}
+
+// fold: ... body body  =>  ... Repeat{body; 2}.
+func (b *Builder) fold() bool {
+	n := len(b.ops)
+	fp := b.meta[n-1].fp
+	for j := int(b.meta[n-1].prev) - 1; j >= 0; j = int(b.meta[j].prev) - 1 {
+		w := n - 1 - j
+		if w > maxTandemWindow || 2*w > n {
+			break
 		}
-		if !opsEqual(b.ops[n-2*w:n-w], b.ops[n-w:]) {
+		if b.meta[j].fp != fp {
+			continue
+		}
+		h := b.window(n-w, n)
+		if b.window(n-2*w, n-w) != h || !opsEqual(b.ops[n-2*w:n-w], b.ops[n-w:]) {
 			continue
 		}
 		body := make([]Op, w)
 		copy(body, b.ops[n-w:])
-		b.ops = append(b.ops[:n-2*w], Op{Repeat: 2, Body: body})
+		b.truncate(n - 2*w)
+		b.pushOp(0, 0, 2, body, h)
 		return true
 	}
 	return false

@@ -418,6 +418,9 @@ func TestFleetWarmAllocsTraceIndependent(t *testing.T) {
 				})
 			}
 			a, b := allocsOn(short), allocsOn(long)
+			if raceEnabled {
+				t.Skipf("allocs %.0f (short) vs %.0f (100x trace) not compared: the race detector drops sync.Pool puts at random, so counts are nondeterministic; the exact check runs without -race", a, b)
+			}
 			if a != b {
 				t.Errorf("allocs grew with trace length: %.0f (short) vs %.0f (100x trace)", a, b)
 			}

@@ -45,6 +45,35 @@ func BenchmarkPerfCPUFetchLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfCapture is the capture run: one profiling simulation of
+// the kernel per iteration with the trace builder on the CPU's range sink
+// and the data bus summed inline, plus the stream totals derived after
+// it — everything a capture-cache miss costs.
+func BenchmarkPerfCapture(b *testing.B) {
+	for _, name := range []string{"mmul", "lu"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			bm := perfBenchmark(b, name)
+			p, err := bm.Program()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var insts uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, err := captureRun(p, bm.setup, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				insts = c.Instructions
+			}
+			if s := b.Elapsed().Seconds(); s > 0 {
+				b.ReportMetric(float64(insts)*float64(b.N)/s, "inst/s")
+			}
+		})
+	}
+}
+
 // BenchmarkPerfCoreEncode plans one k=5 encoding (graph, chains, TT/BBIT
 // allocation, encoded image) from a precomputed profile per iteration —
 // the per-configuration cost the parallel sweep fans out.

@@ -6,6 +6,7 @@ import (
 
 	"imtrans/internal/cfg"
 	"imtrans/internal/core"
+	"imtrans/internal/cpu"
 	"imtrans/internal/power"
 	"imtrans/internal/replay"
 	"imtrans/internal/scheme"
@@ -170,18 +171,19 @@ func captureKeyed(p *Program, setup, check func(Memory) error, salt string) (*re
 }
 
 // captureRun performs the single profiling simulation behind a capture:
-// the run feeds nothing but the trace builder (and check, when non-nil,
-// validates the memory it leaves behind). Every stream statistic the
-// capture carries is derived afterwards from the trace — see
-// deriveStreamTotals.
+// the run feeds the trace builder through the CPU's range sink and sums
+// the data bus inline (and check, when non-nil, validates the memory it
+// leaves behind). Every fetch-stream statistic the capture carries is
+// derived afterwards from the trace — see deriveStreamTotals.
 func captureRun(p *Program, setup, check func(Memory) error) (*replay.Capture, error) {
 	m1, err := newMachine(p, setup)
 	if err != nil {
 		return nil, err
 	}
 	builder := replay.NewBuilder()
-	base := p.TextBase
-	m1.OnFetch = func(pc, word uint32) { builder.Add(int(pc-base) / 4) }
+	var data cpu.DataBus
+	m1.Fetches = builder
+	m1.DataBus = &data
 	if err := m1.Run(); err != nil {
 		return nil, fmt.Errorf("imtrans: profiling run: %w", err)
 	}
@@ -191,17 +193,21 @@ func captureRun(p *Program, setup, check func(Memory) error) (*replay.Capture, e
 		}
 	}
 	words := append([]uint32(nil), p.Text...)
-	g, err := cfg.Build(base, words)
+	g, err := cfg.Build(p.TextBase, words)
 	if err != nil {
 		return nil, err
 	}
 	c := &replay.Capture{
-		Base:         base,
-		Words:        words,
-		Graph:        g,
-		Trace:        builder.Trace(),
-		Profile:      append([]uint64(nil), m1.Profile()...),
-		Instructions: m1.InstCount,
+		Base:            p.TextBase,
+		Words:           words,
+		Graph:           g,
+		Trace:           builder.Trace(),
+		Profile:         append([]uint64(nil), m1.Profile()...),
+		Instructions:    m1.InstCount,
+		DataLoads:       data.Loads,
+		DataStores:      data.Stores,
+		DataTransitions: data.Transitions,
+		DataBusInvert:   data.BusInvert,
 	}
 	if err := deriveStreamTotals(c); err != nil {
 		return nil, err
