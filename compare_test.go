@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"imtrans/internal/scheme"
 )
 
 // paperSchemeMeasurement reconstructs the SchemeMeasurement the registered
@@ -412,37 +414,43 @@ func TestCompareFleetCountersAndCellNs(t *testing.T) {
 	}
 }
 
-// TestCompareBatchToggleBitIdentical is the facade-level differential
-// check behind compare -bench: the same grid measured with the fleet
-// batch kernels off and on must produce byte-identical measurements and
-// rankings.
-func TestCompareBatchToggleBitIdentical(t *testing.T) {
-	benches := []Benchmark{testScale(mustBench(t, "ej"))}
+// TestCompareSharingBitIdentical holds the compare grid's sharing layer
+// to private measurements: every fleet cell, measured with the per-
+// benchmark shared transition stream and the per-column repeat-group
+// memo, must equal the same scheme measured alone on the capture — a
+// fresh Workload with no shared stream and no memo.
+func TestCompareSharingBitIdentical(t *testing.T) {
+	b := testScale(mustBench(t, "ej"))
 	specs := []SchemeSpec{
 		{Name: "businvert"}, {Name: "dictionary", Entries: 16},
 		{Name: "gray"}, {Name: "t0"}, {Name: "codebook", Entries: 64}, {Name: "lwc"},
 	}
-	prev := SetFleetBatchReplay(false)
-	defer SetFleetBatchReplay(prev)
-	scalar, err := CompareMeasureCtx(context.Background(), benches, specs, SweepOptions{})
+	res, err := CompareMeasureCtx(context.Background(), []Benchmark{b}, specs, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetFleetBatchReplay(true)
-	batch, err := CompareMeasureCtx(context.Background(), benches, specs, SweepOptions{})
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := b.Program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := scalar.Err(); err != nil {
+	cap, err := captureProgram(p, b.setup, b.captureSalt())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := batch.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(scalar.Results, batch.Results) {
-		t.Error("batch kernels diverged from the scalar coders")
-	}
-	if !reflect.DeepEqual(scalar.Rankings, batch.Rankings) {
-		t.Error("rankings diverged between replay modes")
+	for si, sp := range specs {
+		s, err := scheme.Get(sp.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Measure(context.Background(), &scheme.Workload{Cap: cap}, sp.params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Results[0][si], schemeMeasurement(r); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: grid cell diverged from a private measurement\n grid %+v\nalone %+v", sp.Label(), got, want)
+		}
 	}
 }

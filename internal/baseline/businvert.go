@@ -1,11 +1,21 @@
-// Package baseline implements Bus-Invert coding (Stan & Burleson, IEEE
-// TVLSI 1995), the general-purpose low-power bus code the paper's related
-// work discusses: before each transfer the sender compares the Hamming
-// distance between the bus state and the next value; if it exceeds half
-// the width, the complement is transmitted instead and an extra invert
-// line tells the receiver to undo it. It needs no application knowledge,
-// which is exactly why the paper's application-specific transformations
-// beat it on instruction streams.
+// Package baseline holds the per-word reference coders of the related
+// work: Bus-Invert coding, dictionary compression, and the Gray and T0
+// address-bus codes. Each one is driven one word at a time, as the bus
+// sees it. The registered schemes in internal/scheme measure the same
+// codes through word-parallel batch kernels, and the tests hold those
+// kernels to these coders bit for bit; the two-run simulate path
+// (imtrans.MeasureProgram) drives Bus-Invert and the dictionary per
+// fetch. BuildDictionary and GrayEncode are also used by the production
+// kernels.
+//
+// Bus-Invert coding (Stan & Burleson, IEEE TVLSI 1995) is the
+// general-purpose low-power bus code the paper's related work discusses:
+// before each transfer the sender compares the Hamming distance between
+// the bus state and the next value; if it exceeds half the width, the
+// complement is transmitted instead and an extra invert line tells the
+// receiver to undo it. It needs no application knowledge, which is
+// exactly why the paper's application-specific transformations beat it
+// on instruction streams.
 package baseline
 
 import "math/bits"

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"imtrans/internal/core"
 	"imtrans/internal/hw"
@@ -28,19 +27,9 @@ type Result struct {
 	MemoShared int
 }
 
-// Options tunes one Measure call. The zero value is the materialised
-// reference path: per-word index structures, private memo, pooled scratch.
+// Options tunes one Measure call. The zero value replays with a private
+// memo and pooled scratch.
 type Options struct {
-	// Streaming replays the trace without materialising any per-word
-	// index structure: coverage is a sorted span table derived from the
-	// encoding plans and block memos live in a map, so a measure holds
-	// O(covered blocks) state regardless of how large the image is or how
-	// long the trace runs. Uncovered sequential runs are summed by
-	// walking their words instead of differencing precomputed prefixes;
-	// the repeat-group fast-forward bounds how often any word is walked.
-	// Totals are bit-identical to the materialised path.
-	Streaming bool
-
 	// Shared, when non-nil, lets this measure serve block memos from (and
 	// publish its own recordings to) a store shared with other measures.
 	// All measures handed one store must replay the same capture and use
@@ -49,16 +38,15 @@ type Options struct {
 	Shared *MemoStore
 
 	// Scratch, when non-nil, supplies the per-measure working set from a
-	// caller-owned arena instead of the package pools — one arena per
+	// caller-owned arena instead of the package pool — one arena per
 	// sweep worker keeps the hot buffers CPU-local across grid cells. A
 	// Scratch must not be used by two measures concurrently.
 	Scratch *Scratch
 }
 
 // Scratch is a caller-owned arena holding the reusable working set of
-// Measure calls in either mode.
+// Measure calls.
 type Scratch struct {
-	m measureScratch
 	s streamScratch
 }
 
@@ -66,34 +54,26 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // Measure replays a captured fetch trace against one encoding. The
-// decoder must be freshly built from enc (Strict, unprotected); it is
-// driven through every covered-block fetch exactly as it would sit on the
-// instruction bus, and every restored word is checked against the original
-// image. Encoded-stream transition totals for uncovered regions are not
-// accumulated fetch by fetch: a sequential run through uncovered text is a
-// range sum (precomputed per-image prefixes in materialised mode, a word
-// walk in streaming mode), and repeat groups whose decoder/bus state
-// proves periodic are fast-forwarded arithmetically. The output is
-// bit-identical to the simulate path at any of these shortcuts, because
-// each one replaces iteration of a deterministic state machine over inputs
-// it has already seen.
-func Measure(cap *Capture, enc *core.Encoding, dec *hw.Decoder) (Result, error) {
-	return MeasureOpts(nil, cap, enc, dec, Options{})
-}
-
-// MeasureCtx is Measure with cooperative cancellation: the context is
-// polled inside the replay fetch loop, once per op and every
+// decoder must be freshly built from enc (Strict); it is driven through
+// every covered-block fetch exactly as it would sit on the instruction
+// bus, and every restored word is checked against the original image.
+// The working set is O(covered blocks): coverage is a sorted span table
+// derived from the encoding plans and block memos live in a map, however
+// large the image or long the trace. Encoded-stream transition totals
+// for uncovered regions are not accumulated fetch by fetch: a sequential
+// run through uncovered text is one word walk, covered blocks already
+// walked replay from their memo, and repeat groups whose decoder/bus
+// state proves periodic are fast-forwarded arithmetically. The output is
+// bit-identical to driving every fetch, because each shortcut replaces
+// iteration of a deterministic state machine over inputs it has already
+// seen.
+//
+// The context is polled inside the replay loop, once per op and every
 // CancelCheckStride fetch steps within long runs, so a cancelled replay
 // stops within a bounded number of fetches rather than finishing a
-// billion-fetch trace. A cancelled replay returns ctx.Err(), unwrapped.
-// A nil context disables polling (Measure's path).
-func MeasureCtx(ctx context.Context, cap *Capture, enc *core.Encoding, dec *hw.Decoder) (Result, error) {
-	return MeasureOpts(ctx, cap, enc, dec, Options{})
-}
-
-// MeasureOpts is MeasureCtx with per-call tuning; see Options. Results
-// are bit-identical for every opts value.
-func MeasureOpts(ctx context.Context, cap *Capture, enc *core.Encoding, dec *hw.Decoder, opts Options) (Result, error) {
+// billion-fetch trace; it returns ctx.Err(), unwrapped. A nil context
+// disables polling.
+func Measure(ctx context.Context, cap *Capture, enc *core.Encoding, dec *hw.Decoder, opts Options) (Result, error) {
 	n := len(cap.Words)
 	if len(enc.EncodedWords) != n {
 		return Result{}, fmt.Errorf("replay: encoded image has %d words, capture has %d", len(enc.EncodedWords), n)
@@ -102,48 +82,25 @@ func MeasureOpts(ctx context.Context, cap *Capture, enc *core.Encoding, dec *hw.
 		return Result{}, fmt.Errorf("replay: empty trace")
 	}
 	r := &replayer{
-		ctx:       ctx,
-		pol:       NewPoller(ctx),
-		base:      cap.Base,
-		orig:      cap.Words,
-		encW:      enc.EncodedWords,
-		dec:       dec,
-		memoOK:    !dec.Protected(),
-		streaming: opts.Streaming,
-		shared:    opts.Shared,
+		ctx:    ctx,
+		pol:    NewPoller(ctx),
+		base:   cap.Base,
+		orig:   cap.Words,
+		encW:   enc.EncodedWords,
+		dec:    dec,
+		memoOK: !dec.Protected(),
+		shared: opts.Shared,
 	}
-	var (
-		sc *measureScratch
-		ss *streamScratch
-	)
-	if opts.Streaming {
-		if opts.Scratch != nil {
-			ss = &opts.Scratch.s
-		} else {
-			ss = streamPool.Get().(*streamScratch)
-		}
-		r.buildSpans(ss, enc)
+	var ss *streamScratch
+	if opts.Scratch != nil {
+		ss = &opts.Scratch.s
 	} else {
-		if opts.Scratch != nil {
-			sc = &opts.Scratch.m
-		} else {
-			sc = scratchPool.Get().(*measureScratch)
-		}
-		r.buildPrefixes(sc)
-		r.buildCoverage(sc, enc)
+		ss = streamPool.Get().(*streamScratch)
+		defer streamPool.Put(ss)
 	}
+	r.buildSpans(ss, enc)
 	r.step(cap.Trace.First)
 	r.runOps(cap.Trace.Ops)
-	if sc != nil {
-		sc.prefix, sc.linePrefix = r.prefix, r.linePrefix
-		sc.kind, sc.blockLen, sc.nextCov = r.kind, r.blockLen, r.nextCov
-		sc.memo = r.memo
-		if opts.Scratch == nil {
-			scratchPool.Put(sc)
-		}
-	} else if opts.Scratch == nil {
-		streamPool.Put(ss)
-	}
 	if r.err != nil {
 		return Result{}, r.err
 	}
@@ -170,25 +127,11 @@ type replayer struct {
 	// check costs one add+compare per step.
 	pol Poller
 
-	// Materialised image model (streaming == false). prefix[i] is the
-	// transition count of transmitting encW[0..i] in layout order;
-	// linePrefix is the same per bus line. kind[i] marks covered-block
-	// starts (1) and interiors (2); nextCov[i] is the smallest j >= i
-	// with kind[j] != 0, or len(orig); blockLen[i] is the block word
-	// count at starts. memo holds recorded block outcomes by start index.
-	prefix     []uint64
-	linePrefix [][32]uint64
-	kind       []uint8
-	nextCov    []int32
-	blockLen   []int32
-	memo       []*blockMemo
-
-	// Streaming image model (streaming == true): the sorted covered-span
-	// table with its seek cursor, and the memo map. See stream.go.
-	streaming bool
-	spans     []covSpan
-	spanCur   int
-	memoM     map[int32]*blockMemo
+	// Image model: the sorted covered-span table with its seek cursor,
+	// and the memo map. See stream.go.
+	spans   []covSpan
+	spanCur int
+	memo    map[int32]*blockMemo
 
 	// Block-outcome memo. A covered block entered with the decoder idle
 	// and non-degraded is a closed system: dispatchInactive overwrites
@@ -227,82 +170,9 @@ type memoRec struct {
 	p0          [32]uint64
 }
 
-// measureScratch holds every materialised-mode per-measure buffer whose
-// size depends on the image length, pooled so warm replays of same-sized
-// captures do no steady-state allocation.
-type measureScratch struct {
-	prefix     []uint64
-	linePrefix [][32]uint64
-	kind       []uint8
-	blockLen   []int32
-	nextCov    []int32
-	memo       []*blockMemo
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(measureScratch) }}
-
-// growSlice returns s resized to n elements, reallocating only when the
-// capacity is short. Contents are unspecified; callers overwrite or clear.
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-func (r *replayer) buildPrefixes(sc *measureScratch) {
-	n := len(r.encW)
-	r.prefix = growSlice(sc.prefix, n)
-	r.linePrefix = growSlice(sc.linePrefix, n)
-	if n > 0 {
-		r.prefix[0] = 0
-		r.linePrefix[0] = [32]uint64{}
-	}
-	for i := 1; i < n; i++ {
-		diff := r.encW[i] ^ r.encW[i-1]
-		r.prefix[i] = r.prefix[i-1] + uint64(bits.OnesCount32(diff))
-		r.linePrefix[i] = r.linePrefix[i-1]
-		for diff != 0 {
-			line := bits.TrailingZeros32(diff)
-			r.linePrefix[i][line]++
-			diff &= diff - 1
-		}
-	}
-}
-
-func (r *replayer) buildCoverage(sc *measureScratch, enc *core.Encoding) {
-	n := len(r.encW)
-	r.kind = growSlice(sc.kind, n)
-	clear(r.kind)
-	r.blockLen = growSlice(sc.blockLen, n) // read only at kind==1 indices
-	r.memo = growSlice(sc.memo, n)
-	clear(r.memo) // stale memos belong to another encoding
-	for pi := range enc.Plans {
-		p := &enc.Plans[pi]
-		start := int(p.StartPC-r.base) / 4
-		r.kind[start] = 1
-		r.blockLen[start] = int32(p.Count)
-		for i := 1; i < p.Count; i++ {
-			r.kind[start+i] = 2
-		}
-	}
-	r.nextCov = growSlice(sc.nextCov, n+1)
-	r.nextCov[n] = int32(n)
-	for i := n - 1; i >= 0; i-- {
-		if r.kind[i] != 0 {
-			r.nextCov[i] = int32(i)
-		} else {
-			r.nextCov[i] = r.nextCov[i+1]
-		}
-	}
-}
-
 // kindAt classifies an image index: 1 for a covered-block start, 2 for a
 // covered interior, 0 for uncovered text.
 func (r *replayer) kindAt(idx int32) uint8 {
-	if !r.streaming {
-		return r.kind[idx]
-	}
 	if s := r.spanSeek(idx); s < len(r.spans) && r.spans[s].start <= idx {
 		if idx == r.spans[s].start {
 			return 1
@@ -315,18 +185,12 @@ func (r *replayer) kindAt(idx int32) uint8 {
 // blockWords returns the word count of the covered block starting at idx;
 // valid only where kindAt(idx) == 1.
 func (r *replayer) blockWords(idx int32) int32 {
-	if !r.streaming {
-		return r.blockLen[idx]
-	}
 	return r.spans[r.spanSeek(idx)].words
 }
 
 // nextCovered returns the smallest covered index at or after idx, or the
 // image length when none follows.
 func (r *replayer) nextCovered(idx int32) int32 {
-	if !r.streaming {
-		return r.nextCov[idx]
-	}
 	s := r.spanSeek(idx)
 	if s == len(r.spans) {
 		return int32(len(r.encW))
@@ -341,19 +205,10 @@ func (r *replayer) nextCovered(idx int32) int32 {
 // consulting the local view first and the shared store second; a shared
 // hit is adopted into the local view so later visits skip the lock.
 func (r *replayer) memoAt(idx int32) *blockMemo {
-	var bm *blockMemo
-	if r.streaming {
-		bm = r.memoM[idx]
-	} else {
-		bm = r.memo[idx]
-	}
+	bm := r.memo[idx]
 	if bm == nil && r.shared != nil {
 		if bm = r.shared.get(idx); bm != nil {
-			if r.streaming {
-				r.memoM[idx] = bm
-			} else {
-				r.memo[idx] = bm
-			}
+			r.memo[idx] = bm
 			r.memoShared++
 		}
 	}
@@ -363,27 +218,15 @@ func (r *replayer) memoAt(idx int32) *blockMemo {
 // memoPut records a freshly completed block outcome locally and, when a
 // shared store is attached, publishes it for other measures.
 func (r *replayer) memoPut(idx int32, bm *blockMemo) {
-	if r.streaming {
-		r.memoM[idx] = bm
-	} else {
-		r.memo[idx] = bm
-	}
+	r.memo[idx] = bm
 	r.shared.put(idx, bm)
 	r.memoCount++
 }
 
 // addRange accumulates the bus transitions of a sequential walk of
-// encW[from..to], where encW[from] is already on the bus: a prefix
-// difference in materialised mode, a word walk in streaming mode.
+// encW[from..to], where encW[from] is already on the bus, by walking
+// its words.
 func (r *replayer) addRange(from, to int32) {
-	if !r.streaming {
-		r.total += r.prefix[to] - r.prefix[from]
-		la, lb := &r.linePrefix[from], &r.linePrefix[to]
-		for l := 0; l < 32; l++ {
-			r.perLine[l] += lb[l] - la[l]
-		}
-		return
-	}
 	for i := from + 1; i <= to; i++ {
 		diff := r.encW[i] ^ r.encW[i-1]
 		r.total += uint64(bits.OnesCount32(diff))

@@ -8,15 +8,15 @@ import (
 )
 
 // covSpan is one covered block's image-index range [start, start+words) in
-// the streaming coverage table.
+// the coverage table.
 type covSpan struct {
 	start, words int32
 }
 
-// streamScratch is the streaming-mode working set: the sorted span table
-// and the block-memo map, both sized by the covered-block count, never by
-// the image or the trace. Pooled (or arena-owned) so warm streaming
-// replays allocate nothing for coverage.
+// streamScratch is the replay working set: the sorted span table and the
+// block-memo map, both sized by the covered-block count, never by the
+// image or the trace. Pooled (or arena-owned) so warm replays allocate
+// nothing for coverage.
 type streamScratch struct {
 	spans []covSpan
 	memo  map[int32]*blockMemo
@@ -24,10 +24,9 @@ type streamScratch struct {
 
 var streamPool = sync.Pool{New: func() any { return new(streamScratch) }}
 
-// buildSpans derives the streaming coverage table from the encoding
-// plans: one sorted span per covered block. This is the whole image model
-// in streaming mode — O(covered blocks) state standing in for the O(image
-// words) kind/nextCov/prefix arrays of the materialised path.
+// buildSpans derives the coverage table from the encoding plans: one
+// sorted span per covered block. This is the whole image model —
+// O(covered blocks) state, whatever the image size.
 func (r *replayer) buildSpans(ss *streamScratch, enc *core.Encoding) {
 	if cap(ss.spans) < len(enc.Plans) {
 		ss.spans = make([]covSpan, 0, len(enc.Plans))
@@ -46,7 +45,7 @@ func (r *replayer) buildSpans(ss *streamScratch, enc *core.Encoding) {
 	} else {
 		clear(ss.memo) // stale memos belong to another encoding
 	}
-	r.memoM = ss.memo
+	r.memo = ss.memo
 }
 
 // spanSeek returns the smallest span index s such that spans[s] ends past

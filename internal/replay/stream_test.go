@@ -2,7 +2,6 @@ package replay
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 	"imtrans/internal/core"
 	"imtrans/internal/cpu"
 	"imtrans/internal/hw"
-	"imtrans/internal/transform"
 )
 
 // streamLoopSrc has a hot inner loop nested in an outer loop plus cold
@@ -84,43 +82,15 @@ func measureWith(t *testing.T, cp *Capture, cfg core.Config, opts Options) Resul
 		t.Fatalf("decoder: %v", err)
 	}
 	dec.Strict = true
-	res, err := MeasureOpts(nil, cp, enc, dec, opts)
+	res, err := Measure(nil, cp, enc, dec, opts)
 	if err != nil {
 		t.Fatalf("measure: %v", err)
 	}
 	return res
 }
 
-// TestStreamingMatchesMaterialised checks the streaming path is
-// bit-identical to the materialised reference — totals, per-line counts
-// and even the memo diagnostics, since both modes make the same coverage
-// and memo decisions.
-func TestStreamingMatchesMaterialised(t *testing.T) {
-	cp := captureSource(t, streamLoopSrc)
-	cfgs := []core.Config{
-		{},
-		{BlockSize: 4},
-		{BlockSize: 7, TTEntries: 32},
-		{TTEntries: 4},
-		{Selection: core.Knapsack},
-		{Funcs: transform.Canonical8[:4]},
-	}
-	for _, cfg := range cfgs {
-		want := measureWith(t, cp, cfg, Options{})
-		got := measureWith(t, cp, cfg, Options{Streaming: true})
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("config %+v: streaming %+v != materialised %+v", cfg, got, want)
-		}
-		if want.MemoBlocks == 0 || want.MemoHits == 0 {
-			t.Errorf("config %+v: memo idle (blocks %d, hits %d); test is not exercising the memo paths",
-				cfg, want.MemoBlocks, want.MemoHits)
-		}
-	}
-}
-
-// TestStreamingStateIsBlockBounded whitebox-checks the streaming working
-// set: the arena must hold per-block state only, never the per-word
-// arrays of the materialised path.
+// TestStreamingStateIsBlockBounded whitebox-checks the replay working
+// set: the arena must hold per-block state only, never per-word arrays.
 func TestStreamingStateIsBlockBounded(t *testing.T) {
 	cp := captureSource(t, streamLoopSrc)
 	enc, err := core.Encode(cp.Graph, cp.Profile, core.Config{})
@@ -133,11 +103,8 @@ func TestStreamingStateIsBlockBounded(t *testing.T) {
 	}
 	dec.Strict = true
 	arena := NewScratch()
-	if _, err := MeasureOpts(nil, cp, enc, dec, Options{Streaming: true, Scratch: arena}); err != nil {
+	if _, err := Measure(nil, cp, enc, dec, Options{Scratch: arena}); err != nil {
 		t.Fatal(err)
-	}
-	if arena.m.prefix != nil || arena.m.kind != nil || arena.m.nextCov != nil {
-		t.Error("streaming measure materialised per-word arrays")
 	}
 	if got, max := cap(arena.s.spans), len(enc.Plans); got > max {
 		t.Errorf("span table capacity %d exceeds covered-block count %d", got, max)
@@ -163,8 +130,8 @@ func TestMemoStoreSharing(t *testing.T) {
 	store := NewMemoStore()
 	var recorded, adopted int
 	for i, cfg := range cfgs {
-		solo := measureWith(t, cp, cfg, Options{Streaming: true})
-		shared := measureWith(t, cp, cfg, Options{Streaming: true, Shared: store})
+		solo := measureWith(t, cp, cfg, Options{})
+		shared := measureWith(t, cp, cfg, Options{Shared: store})
 		if solo.Encoded != shared.Encoded ||
 			!reflect.DeepEqual(solo.PerLineEncoded, shared.PerLineEncoded) {
 			t.Fatalf("config %d: shared-store totals diverge: %d != %d", i, shared.Encoded, solo.Encoded)
@@ -213,7 +180,7 @@ func TestMemoStoreConcurrent(t *testing.T) {
 				return
 			}
 			dec.Strict = true
-			res, err := MeasureOpts(nil, cp, enc, dec, Options{Streaming: g%2 == 0, Shared: store})
+			res, err := Measure(nil, cp, enc, dec, Options{Shared: store})
 			if err != nil {
 				errs[g] = err
 				return
@@ -251,15 +218,14 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestCancellationPollParity pins the cancellation contract of both
-// replay engines. The poll schedule — one context check per trace op
-// plus one every CancelCheckStride fetch steps inside runs — must be
-// identical in streaming and materialised mode (they make the same
-// stepping and memo decisions), and a context that fires at a mid-replay
-// poll must abort both with ctx.Err().
+// TestCancellationPollParity pins the cancellation contract of the
+// replay engine. The poll schedule — one context check per trace op plus
+// one every CancelCheckStride fetch steps inside runs — is the same on
+// every run of a measurement, and a context that fires at a poll in the
+// middle of the replay must abort it with ctx.Err(), unwrapped.
 func TestCancellationPollParity(t *testing.T) {
 	cp := captureSource(t, streamLoopSrc)
-	measure := func(ctx context.Context, streaming bool) error {
+	measure := func(ctx context.Context) error {
 		enc, err := core.Encode(cp.Graph, cp.Profile, core.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -269,31 +235,30 @@ func TestCancellationPollParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		dec.Strict = true
-		_, err = MeasureOpts(ctx, cp, enc, dec, Options{Streaming: streaming})
+		_, err = Measure(ctx, cp, enc, dec, Options{})
 		return err
 	}
 
 	polls := make([]int64, 2)
-	for i, streaming := range []bool{false, true} {
+	for i := range polls {
 		ctr := &countdownCtx{Context: context.Background()}
-		if err := measure(ctr, streaming); err != nil {
-			t.Fatalf("streaming=%v: %v", streaming, err)
+		if err := measure(ctr); err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
 		polls[i] = ctr.polls.Load()
 	}
 	if polls[0] != polls[1] {
-		t.Errorf("poll schedules diverge: materialised polled %d times, streaming %d", polls[0], polls[1])
+		t.Errorf("poll schedule is not deterministic: %d then %d polls", polls[0], polls[1])
 	}
 	if polls[0] < 2 {
 		t.Fatalf("only %d polls over the whole trace; mid-replay cancellation has no coverage", polls[0])
 	}
 
-	// Fire at a poll in the middle of the replay: both engines must stop
-	// there and surface the context error.
-	for _, streaming := range []bool{false, true} {
-		ctr := &countdownCtx{Context: context.Background(), fire: polls[0] / 2}
-		if err := measure(ctr, streaming); !errors.Is(err, context.Canceled) {
-			t.Errorf("streaming=%v: mid-replay cancellation returned %v, want context.Canceled", streaming, err)
-		}
+	ctr := &countdownCtx{Context: context.Background(), fire: polls[0] / 2}
+	if err := measure(ctr); err != context.Canceled {
+		t.Errorf("mid-replay cancellation returned %v, want context.Canceled", err)
+	}
+	if got := ctr.polls.Load(); got >= polls[0] {
+		t.Errorf("cancelled replay ran its whole poll schedule (%d polls)", got)
 	}
 }

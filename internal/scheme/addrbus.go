@@ -25,7 +25,6 @@ import (
 type addrBusScheme struct {
 	name string
 	desc string
-	pick func(a *baseline.AddrBus) uint64
 	sel  int // accumulator lane of the batch coder
 }
 
@@ -33,13 +32,11 @@ func init() {
 	Register(addrBusScheme{
 		name: "gray",
 		desc: "Gray-coded instruction address bus: sequential fetches toggle one line",
-		pick: (*baseline.AddrBus).Gray,
 		sel:  1,
 	})
 	Register(addrBusScheme{
 		name: "t0",
 		desc: "T0 address code: an INC line freezes the address lines across sequential fetches (Benini et al.)",
-		pick: (*baseline.AddrBus).T0,
 		sel:  2,
 	})
 }
@@ -149,32 +146,14 @@ func (s addrBusScheme) Measure(ctx context.Context, w *Workload, p Params) (*Res
 		width = 32
 	}
 	cap := w.Cap
-	var (
-		binary, picked uint64
-		diag           fleetDiag
-		derivedHit     bool
-		streamShared   bool
-		batch          = BatchReplay()
-	)
-	if batch {
-		st, shared := fleetStream(w)
-		tab, hit := st.addrTablesFor(width)
-		c := &addrCoder{base: cap.Base, mask: widthMask(width), tab: tab}
-		d, err := runFleet(ctx, cap, c, w.FleetShared)
-		if err != nil {
-			return nil, err
-		}
-		binary, picked = c.acc[0], c.acc[s.sel]
-		diag, derivedHit, streamShared = d, hit, shared
-	} else {
-		bus := baseline.NewAddrBus(width, 4)
-		if err := replayIndices(ctx, cap, func(idx int32) {
-			bus.Transfer(cap.Base + uint32(idx)*4)
-		}); err != nil {
-			return nil, err
-		}
-		binary, picked = bus.Binary(), s.pick(bus)
+	st, shared := fleetStream(w)
+	tab, hit := st.addrTablesFor(width)
+	c := &addrCoder{base: cap.Base, mask: widthMask(width), tab: tab}
+	d, err := runFleet(ctx, cap, c, w.FleetShared)
+	if err != nil {
+		return nil, err
 	}
+	binary, picked := c.acc[0], c.acc[s.sel]
 	extra := 0
 	if s.name == "t0" {
 		extra = 1 // the INC line
@@ -190,10 +169,6 @@ func (s addrBusScheme) Measure(ctx context.Context, w *Workload, p Params) (*Res
 			"bus_addr": 1, // marks the address bus: Baseline differs from data-bus schemes
 		},
 	}
-	if batch {
-		fleetFinish(r, diag, derivedHit, streamShared)
-	} else {
-		r.finish()
-	}
+	fleetFinish(r, d, hit, shared)
 	return r, nil
 }

@@ -4,16 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-
-	"imtrans/internal/baseline"
 )
 
-// busInvertScheme replays the captured fetch stream through the baseline
-// Bus-Invert coder (Stan & Burleson). At the default 32-line width its
-// total is bit-identical to the comparator the reference simulate
-// pipeline (imtrans.MeasureProgram) drives per fetch — asserted by the
-// differential tests — because both drive the same deterministic coder
-// with the same word sequence. The capture's BusInvertTotal is this
+// busInvertScheme measures the captured fetch stream under Bus-Invert
+// coding (Stan & Burleson). Its totals are bit-identical to the per-word
+// baseline.BusInvert coder — the comparator the reference simulate
+// pipeline (imtrans.MeasureProgram) drives per fetch, and the oracle the
+// differential tests hold this kernel to. The capture's BusInvertTotal is this
 // kernel's result, derived once at capture time.
 //
 // The batch kernel rests on a classification of each adjacent pair by its
@@ -173,32 +170,14 @@ func (s busInvertScheme) Measure(ctx context.Context, w *Workload, p Params) (*R
 		width = 32
 	}
 	cap := w.Cap
-	var (
-		data, inv    uint64
-		diag         fleetDiag
-		derivedHit   bool
-		streamShared bool
-		batch        = BatchReplay()
-	)
-	if batch {
-		st, shared := fleetStream(w)
-		tab, hit := st.biTablesFor(width)
-		c := &biCoder{words: cap.Words, mask: widthMask(width), width: int64(width), tab: tab}
-		d, err := runFleet(ctx, cap, c, w.FleetShared)
-		if err != nil {
-			return nil, err
-		}
-		data, inv = c.acc[0], c.acc[1]
-		diag, derivedHit, streamShared = d, hit, shared
-	} else {
-		bi := baseline.NewBusInvert(width)
-		if err := replayWords(ctx, cap, func(word uint32) {
-			bi.Transfer(word)
-		}); err != nil {
-			return nil, err
-		}
-		data, inv = bi.DataTransitions(), bi.InvertTransitions()
+	st, shared := fleetStream(w)
+	tab, hit := st.biTablesFor(width)
+	c := &biCoder{words: cap.Words, mask: widthMask(width), width: int64(width), tab: tab}
+	d, err := runFleet(ctx, cap, c, w.FleetShared)
+	if err != nil {
+		return nil, err
 	}
+	data, inv := c.acc[0], c.acc[1]
 	r := &Result{
 		Scheme:        "businvert",
 		Spec:          s.Spec(p),
@@ -211,10 +190,6 @@ func (s busInvertScheme) Measure(ctx context.Context, w *Workload, p Params) (*R
 			"invert_transitions": float64(inv),
 		},
 	}
-	if batch {
-		fleetFinish(r, diag, derivedHit, streamShared)
-	} else {
-		r.finish()
-	}
+	fleetFinish(r, d, hit, shared)
 	return r, nil
 }

@@ -130,10 +130,10 @@ func (codebookScheme) Spec(p Params) string {
 }
 
 // cbTables is the derived per-entries codebook structure: the per-index
-// codeword/mapped tables the scalar path also builds, plus prefix sums of
-// the (index-pure) pair cost and the per-fetch hit indicator. cost[i]
-// charges the pair (i-1, i) including the mapped-flag toggle of a capped
-// book; hits[i] counts mapped indices in 0..i.
+// codeword/mapped tables plus prefix sums of the (index-pure) pair cost
+// and the per-fetch hit indicator. cost[i] charges the pair (i-1, i)
+// including the mapped-flag toggle of a capped book; hits[i] counts
+// mapped indices in 0..i.
 type cbTables struct {
 	entries int
 	capped  bool
@@ -240,73 +240,14 @@ func (s codebookScheme) Measure(ctx context.Context, w *Workload, p Params) (*Re
 		return nil, err
 	}
 	cap := w.Cap
-	var (
-		entries      int
-		capped       bool
-		trans, hits  uint64
-		diag         fleetDiag
-		derivedHit   bool
-		streamShared bool
-		batch        = BatchReplay()
-	)
-	if batch {
-		st, shared := fleetStream(w)
-		tab, hit := st.cbTablesFor(p.Entries)
-		c := &cbCoder{t: tab}
-		d, err := runFleet(ctx, cap, c, w.FleetShared)
-		if err != nil {
-			return nil, err
-		}
-		entries, capped, trans, hits = tab.entries, tab.capped, c.acc[0], c.acc[1]
-		diag, derivedHit, streamShared = d, hit, shared
-	} else {
-		ranked := rankWords(cap)
-		entries = p.Entries
-		capped = entries > 0 && entries < len(ranked)
-		if entries == 0 || entries > len(ranked) {
-			entries = len(ranked)
-		}
-		book := codewords(entries)
-
-		// Per-text-index codeword table: code[i] is the driven value for a
-		// fetch of text index i, mapped[i] whether it came from the book.
-		rank := make(map[uint32]int, len(ranked))
-		for i, wf := range ranked {
-			rank[wf.word] = i
-		}
-		code := make([]uint32, len(cap.Words))
-		mapped := make([]bool, len(cap.Words))
-		for i, word := range cap.Words {
-			if r := rank[word]; r < entries {
-				code[i], mapped[i] = book[r], true
-			} else {
-				code[i] = word
-			}
-		}
-
-		var (
-			started  bool
-			last     uint32
-			lastFlag bool
-		)
-		if err := replayIndices(ctx, cap, func(idx int32) {
-			drive, hit := code[idx], mapped[idx]
-			if hit {
-				hits++
-			}
-			if !started {
-				started, last, lastFlag = true, drive, hit
-				return
-			}
-			trans += uint64(bits.OnesCount32(drive ^ last))
-			if capped && hit != lastFlag {
-				trans++ // the mapped-flag line
-			}
-			last, lastFlag = drive, hit
-		}); err != nil {
-			return nil, err
-		}
+	st, shared := fleetStream(w)
+	tab, hit := st.cbTablesFor(p.Entries)
+	c := &cbCoder{t: tab}
+	d, err := runFleet(ctx, cap, c, w.FleetShared)
+	if err != nil {
+		return nil, err
 	}
+	entries, capped, trans, hits := tab.entries, tab.capped, c.acc[0], c.acc[1]
 
 	extra := 0
 	if capped {
@@ -325,10 +266,6 @@ func (s codebookScheme) Measure(ctx context.Context, w *Workload, p Params) (*Re
 			"hit_rate_percent": 100 * float64(hits) / float64(max(cap.Trace.N, 1)),
 		},
 	}
-	if batch {
-		fleetFinish(r, diag, derivedHit, streamShared)
-	} else {
-		r.finish()
-	}
+	fleetFinish(r, d, hit, shared)
 	return r, nil
 }

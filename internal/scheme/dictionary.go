@@ -8,13 +8,13 @@ import (
 	"imtrans/internal/baseline"
 )
 
-// dictionaryScheme replays the captured stream through the baseline
-// dictionary-compression coder (cf. Lekatsas et al.): the most frequent
-// instructions drive only index lines plus a hit flag, misses drive the
-// raw word. At the default 256 entries its transition total equals the
-// comparator the reference simulate pipeline (imtrans.MeasureProgram)
-// drives per fetch; the capture's DictionaryTotal is this kernel's
-// result, derived once at capture time.
+// dictionaryScheme measures the captured stream under dictionary
+// compression (cf. Lekatsas et al.): the most frequent instructions drive
+// only index lines plus a hit flag, misses drive the raw word. Its totals
+// equal those of the per-word baseline.Dictionary coder, which the
+// reference simulate pipeline (imtrans.MeasureProgram) drives per fetch
+// at the default 256 entries; the capture's DictionaryTotal is this
+// kernel's result, derived once at capture time.
 //
 // The batch kernel cannot prefix-sum — the undriven lines hold the bits
 // of the last miss, so the bus state threads through every fetch — but it
@@ -156,37 +156,14 @@ func (s dictionaryScheme) Measure(ctx context.Context, w *Workload, p Params) (*
 		entries = 256
 	}
 	cap := w.Cap
-	var (
-		trans, hits  uint64
-		dict         *baseline.Dictionary
-		diag         fleetDiag
-		derivedHit   bool
-		streamShared bool
-		batch        = BatchReplay()
-	)
-	if batch {
-		st, shared := fleetStream(w)
-		tab, hit := st.dictTablesFor(entries)
-		c := &dictCoder{t: tab}
-		d, err := runFleet(ctx, cap, c, w.FleetShared)
-		if err != nil {
-			return nil, err
-		}
-		trans, hits, dict = c.acc[0], c.acc[1], tab.dict
-		diag, derivedHit, streamShared = d, hit, shared
-	} else {
-		dict = baseline.BuildDictionary(cap.Words, cap.Profile, entries)
-		if err := replayWords(ctx, cap, func(word uint32) {
-			dict.Transfer(word)
-		}); err != nil {
-			return nil, err
-		}
-		trans, hits = dict.Transitions(), 0
+	st, shared := fleetStream(w)
+	tab, hit := st.dictTablesFor(entries)
+	c := &dictCoder{t: tab}
+	d, err := runFleet(ctx, cap, c, w.FleetShared)
+	if err != nil {
+		return nil, err
 	}
-	hitRate := dict.HitRate()
-	if batch {
-		hitRate = 100 * float64(hits) / float64(max(cap.Trace.N, 1))
-	}
+	trans, hits, dict := c.acc[0], c.acc[1], tab.dict
 	r := &Result{
 		Scheme:        "dictionary",
 		Spec:          s.Spec(p),
@@ -196,15 +173,11 @@ func (s dictionaryScheme) Measure(ctx context.Context, w *Workload, p Params) (*
 		OverheadBits:  dict.TableBits(),
 		ExtraBusLines: 1, // the hit flag line
 		Detail: map[string]float64{
-			"hit_rate_percent": hitRate,
+			"hit_rate_percent": 100 * float64(hits) / float64(max(cap.Trace.N, 1)),
 			"index_bits":       float64(dict.IndexBits()),
 			"entries":          float64(dict.Entries()),
 		},
 	}
-	if batch {
-		fleetFinish(r, diag, derivedHit, streamShared)
-	} else {
-		r.finish()
-	}
+	fleetFinish(r, d, hit, shared)
 	return r, nil
 }

@@ -9,24 +9,6 @@ import (
 	"imtrans/internal/replay"
 )
 
-// batchReplay selects the fleet replay path. On (the default), the
-// related-work coders measure through the word-parallel batch kernels
-// over the shared transition stream, with repeat-aware fast-forward; off
-// restores the per-word reference coders, kept as the differential
-// oracle. Totals are bit-identical either way.
-var batchReplay atomic.Bool
-
-func init() { batchReplay.Store(true) }
-
-// SetBatchReplay switches the fleet schemes between the batch kernels
-// (on) and the per-word reference coders (off), returning the previous
-// setting. Measurements are bit-identical in both modes; only wall time
-// changes.
-func SetBatchReplay(on bool) bool { return batchReplay.Swap(on) }
-
-// BatchReplay reports whether the fleet batch kernels are active.
-func BatchReplay() bool { return batchReplay.Load() }
-
 // fleetState is a batch coder's comparable state snapshot: everything
 // the cost of the next fetch can depend on beyond the current text index
 // (which the engine tracks). Coders with index-pure costs return the

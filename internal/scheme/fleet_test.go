@@ -5,10 +5,15 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"imtrans/internal/asm"
+	"imtrans/internal/cpu"
+	"imtrans/internal/mem"
 	"imtrans/internal/replay"
+	"imtrans/internal/workloads"
 )
 
 // synthCapture builds a randomised capture whose trace mixes the shapes
@@ -87,6 +92,82 @@ func synthCapture(seed int64, nWords, fetches int) *replay.Capture {
 	}
 }
 
+// kernelTestParams are the reduced scales the facade's tests and
+// `reproduce -small` use for the nine kernels.
+var kernelTestParams = map[string]workloads.Params{
+	"mmul": {N: 24}, "sor": {N: 32, Iters: 2}, "ej": {N: 24, Iters: 4},
+	"fft": {N: 64}, "tri": {N: 32, Iters: 10}, "lu": {N: 24},
+	"crc32": {N: 4096, Iters: 2}, "iir": {N: 2048, Iters: 3}, "conv2d": {N: 24, Iters: 2},
+}
+
+var kernelCaps struct {
+	once sync.Once
+	caps map[string]*replay.Capture
+	err  error
+}
+
+// kernelCaptures returns test-scale captures of the nine workload
+// kernels, built once per test binary: assembled, run on the ISS with
+// the fetch stream feeding a trace builder, and the unencoded baseline
+// summed over the expanded trace.
+func kernelCaptures(tb testing.TB) map[string]*replay.Capture {
+	tb.Helper()
+	kernelCaps.once.Do(func() {
+		kernelCaps.caps = make(map[string]*replay.Capture)
+		for _, w := range append(workloads.All(), workloads.Extras()...) {
+			cap, err := kernelCapture(w)
+			if err != nil {
+				kernelCaps.err = err
+				return
+			}
+			kernelCaps.caps[w.Name] = cap
+		}
+	})
+	if kernelCaps.err != nil {
+		tb.Fatal(kernelCaps.err)
+	}
+	return kernelCaps.caps
+}
+
+func kernelCapture(w *workloads.Workload) (*replay.Capture, error) {
+	p := w.Fill(kernelTestParams[w.Name])
+	obj, err := asm.Assemble(w.Source(p))
+	if err != nil {
+		return nil, err
+	}
+	m := mem.New()
+	for i, by := range obj.Data {
+		m.StoreByte(obj.DataBase+uint32(i), by)
+	}
+	if err := w.Setup(m, p); err != nil {
+		return nil, err
+	}
+	c, err := cpu.New(cpu.Program{Base: obj.TextBase, Words: obj.TextWords}, m)
+	if err != nil {
+		return nil, err
+	}
+	b := replay.NewBuilder()
+	c.Fetches = b
+	if err := c.Run(); err != nil {
+		return nil, err
+	}
+	tr := b.Trace()
+	var base uint64
+	last := obj.TextWords[tr.First]
+	tr.Indices(func(idx int32) {
+		base += uint64(bits.OnesCount32(obj.TextWords[idx] ^ last))
+		last = obj.TextWords[idx]
+	})
+	return &replay.Capture{
+		Base:          obj.TextBase,
+		Words:         obj.TextWords,
+		Trace:         tr,
+		Profile:       append([]uint64(nil), c.Profile()...),
+		Instructions:  c.InstCount,
+		BaselineTotal: base,
+	}, nil
+}
+
 // fleetVariants lists the parameter points the differential tests sweep
 // per fleet scheme: the default plus a knobbed point for every knob the
 // scheme reads.
@@ -99,46 +180,71 @@ var fleetVariants = map[string][]Params{
 	"lwc":        {{}, {Entries: 32, ExtraLines: 3}},
 }
 
-// measureMode runs one measurement with the batch kernels forced to the
-// given mode, normalising the replay diagnostics (which legitimately
-// differ between modes) so the rest of the Result can be compared whole.
-func measureMode(t *testing.T, s Scheme, w *Workload, p Params, batch bool) *Result {
+// fleetSchemes returns every registered scheme measured by the fleet
+// batch engine, that is every scheme but the paper pipeline.
+func fleetSchemes() []Scheme {
+	var out []Scheme
+	for _, s := range All() {
+		if s.Name() != "paper" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// batchMeasure runs one production measurement and clears the replay
+// diagnostics, which only the batch engine produces, so the rest of the
+// Result can be compared whole with the reference coder's.
+func batchMeasure(t *testing.T, s Scheme, w *Workload, p Params) *Result {
 	t.Helper()
-	prev := SetBatchReplay(batch)
-	defer SetBatchReplay(prev)
 	r, err := s.Measure(context.Background(), w, p)
 	if err != nil {
-		t.Fatalf("%s (batch=%v): %v", s.Name(), batch, err)
+		t.Fatalf("%s: %v", s.Name(), err)
 	}
 	r.MemoHits, r.StreamShared = 0, false
 	return r
 }
 
+// oracleMeasure runs the per-word reference coder of one scheme.
+func oracleMeasure(t *testing.T, name string, cap *replay.Capture, p Params) *Result {
+	t.Helper()
+	r, err := scalarMeasure(context.Background(), name, cap, p)
+	if err != nil {
+		t.Fatalf("%s (scalar): %v", name, err)
+	}
+	return r
+}
+
 // TestFleetBatchMatchesScalar is the differential property test of the
-// tentpole: for every fleet scheme, every knob variant and a spread of
-// randomised trace shapes, the word-parallel batch kernel must reproduce
-// the per-word reference coder bit for bit — counts, percentages, energy
-// and detail maps alike.
+// fleet batch kernels: for every fleet scheme and knob variant, over a
+// spread of randomised trace shapes and the nine workload kernels, the
+// word-parallel batch kernel must reproduce the per-word reference coder
+// bit for bit — counts, percentages, energy and detail maps alike.
 func TestFleetBatchMatchesScalar(t *testing.T) {
-	for _, s := range All() {
-		if s.Name() == "paper" {
-			continue
-		}
+	kernels := kernelCaptures(t)
+	if len(kernels) != 9 {
+		t.Fatalf("%d kernel captures, want 9", len(kernels))
+	}
+	for _, s := range fleetSchemes() {
 		variants, ok := fleetVariants[s.Name()]
 		if !ok {
 			t.Fatalf("scheme %q has no differential variants; add it to fleetVariants", s.Name())
 		}
 		t.Run(s.Name(), func(t *testing.T) {
+			check := func(input string, cap *replay.Capture, vi int, p Params) {
+				batch := batchMeasure(t, s, &Workload{Cap: cap}, p)
+				scalar := oracleMeasure(t, s.Name(), cap, p)
+				if !reflect.DeepEqual(batch, scalar) {
+					t.Fatalf("%s variant %d: batch diverged from scalar\n batch %+v\nscalar %+v",
+						input, vi, batch, scalar)
+				}
+			}
 			for vi, p := range variants {
 				for seed := int64(1); seed <= 4; seed++ {
-					cap := synthCapture(seed*71+int64(vi), 512, 6000)
-					w := &Workload{Cap: cap}
-					batch := measureMode(t, s, w, p, true)
-					scalar := measureMode(t, s, w, p, false)
-					if !reflect.DeepEqual(batch, scalar) {
-						t.Fatalf("variant %d seed %d: batch diverged from scalar\n batch %+v\nscalar %+v",
-							vi, seed, batch, scalar)
-					}
+					check("synthetic", synthCapture(seed*71+int64(vi), 512, 6000), vi, p)
+				}
+				for name, cap := range kernels {
+					check(name, cap, vi, p)
 				}
 			}
 		})
@@ -155,13 +261,10 @@ func TestFleetBatchMatchesScalar(t *testing.T) {
 func TestFleetSharedStreamAndMemo(t *testing.T) {
 	cap := synthCapture(97, 512, 8000)
 	st := NewStream(cap)
-	for _, s := range All() {
-		if s.Name() == "paper" {
-			continue
-		}
+	for _, s := range fleetSchemes() {
 		t.Run(s.Name(), func(t *testing.T) {
 			memo := NewFleetMemo()
-			private := measureMode(t, s, &Workload{Cap: cap}, Params{}, true)
+			private := batchMeasure(t, s, &Workload{Cap: cap}, Params{})
 
 			first, err := s.Measure(context.Background(), &Workload{Cap: cap, Stream: st, FleetShared: memo}, Params{})
 			if err != nil {
@@ -205,8 +308,8 @@ func TestFleetStreamCaptureMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := measureMode(t, s, &Workload{Cap: capA}, Params{}, true)
-	got := measureMode(t, s, &Workload{Cap: capA, Stream: stale}, Params{}, true)
+	want := batchMeasure(t, s, &Workload{Cap: capA}, Params{})
+	got := batchMeasure(t, s, &Workload{Cap: capA, Stream: stale}, Params{})
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("stale stream changed the measurement:\n got %+v\nwant %+v", got, want)
 	}
@@ -272,10 +375,11 @@ func parityTrace() *replay.Capture {
 }
 
 // TestFleetPollParity pins the shared cancellation schedule: the batch
-// engine (chunked TickN over seq spans) and the scalar per-word walk
+// engine (chunked TickN over seq spans) and the per-word reference walk
 // (Tick per fetch) must poll the context exactly the same number of
-// times on the same trace, and a context that fails at poll k must stop
-// both paths with the same error.
+// times on the same trace — the bare engine and every fleet scheme's
+// full measurement alike — and a context that fails at the first poll
+// must stop both paths with the same error.
 func TestFleetPollParity(t *testing.T) {
 	cap := parityTrace()
 
@@ -286,39 +390,48 @@ func TestFleetPollParity(t *testing.T) {
 		}
 		return c.polls.Load()
 	}
-	scalarPolls := countPolls(func(ctx context.Context) error {
-		return replayIndices(ctx, cap, func(int32) {})
-	})
-	batchPolls := countPolls(func(ctx context.Context) error {
-		_, err := runFleet(ctx, cap, &noopCoder{}, nil)
-		return err
-	})
-	if scalarPolls != batchPolls {
-		t.Fatalf("poll schedules diverged: scalar %d polls, batch %d", scalarPolls, batchPolls)
-	}
-	if scalarPolls == 0 {
-		t.Fatal("trace too short to exercise the poll schedule")
-	}
-
-	// Cancellation at the first poll stops both paths.
-	for name, run := range map[string]func(ctx context.Context) error{
-		"scalar": func(ctx context.Context) error { return replayIndices(ctx, cap, func(int32) {}) },
-		"batch": func(ctx context.Context) error {
-			_, err := runFleet(ctx, cap, &noopCoder{}, nil)
-			return err
+	paths := map[string][2]func(ctx context.Context) error{
+		"engine": {
+			func(ctx context.Context) error { return replayIndices(ctx, cap, func(int32) {}) },
+			func(ctx context.Context) error {
+				_, err := runFleet(ctx, cap, &noopCoder{}, nil)
+				return err
+			},
 		},
-	} {
-		c := &countingCtx{Context: context.Background(), fireAt: 1}
-		if err := run(c); err != context.Canceled {
-			t.Errorf("%s: cancelled run returned %v, want context.Canceled", name, err)
+	}
+	for _, s := range fleetSchemes() {
+		paths[s.Name()] = [2]func(ctx context.Context) error{
+			func(ctx context.Context) error {
+				_, err := scalarMeasure(ctx, s.Name(), cap, Params{})
+				return err
+			},
+			func(ctx context.Context) error {
+				_, err := s.Measure(ctx, &Workload{Cap: cap}, Params{})
+				return err
+			},
+		}
+	}
+	for name, run := range paths {
+		scalarPolls, batchPolls := countPolls(run[0]), countPolls(run[1])
+		if scalarPolls != batchPolls {
+			t.Errorf("%s: poll schedules diverged: scalar %d polls, batch %d", name, scalarPolls, batchPolls)
+		}
+		if scalarPolls == 0 {
+			t.Fatalf("%s: trace too short to exercise the poll schedule", name)
+		}
+		for i, path := range []string{"scalar", "batch"} {
+			c := &countingCtx{Context: context.Background(), fireAt: 1}
+			if err := run[i](c); err != context.Canceled {
+				t.Errorf("%s %s: cancelled run returned %v, want context.Canceled", name, path, err)
+			}
 		}
 	}
 }
 
 // TestFleetFastForward checks the repeat-aware analytic fast-forward: a
 // heavily iterated loop must be charged arithmetically (MemoHits counts
-// the skipped iterations), while staying bit-identical to the scalar
-// walk of the fully expanded trace.
+// the skipped iterations), while staying bit-identical to the per-word
+// reference walk of the fully expanded trace.
 func TestFleetFastForward(t *testing.T) {
 	const n = 256
 	words := make([]uint32, n)
@@ -346,13 +459,8 @@ func TestFleetFastForward(t *testing.T) {
 	cap := &replay.Capture{Base: 0x8000, Words: words, Trace: tr, Profile: prof,
 		Instructions: tr.N, BaselineTotal: 1}
 
-	for _, s := range All() {
-		if s.Name() == "paper" {
-			continue
-		}
+	for _, s := range fleetSchemes() {
 		t.Run(s.Name(), func(t *testing.T) {
-			prev := SetBatchReplay(true)
-			defer SetBatchReplay(prev)
 			batch, err := s.Measure(context.Background(), &Workload{Cap: cap}, Params{})
 			if err != nil {
 				t.Fatal(err)
@@ -360,7 +468,7 @@ func TestFleetFastForward(t *testing.T) {
 			if batch.MemoHits < iters/2 {
 				t.Errorf("fast-forward skipped only %d of %d iterations", batch.MemoHits, iters)
 			}
-			scalar := measureMode(t, s, &Workload{Cap: cap}, Params{}, false)
+			scalar := oracleMeasure(t, s.Name(), cap, Params{})
 			batch.MemoHits, batch.StreamShared = 0, false
 			if !reflect.DeepEqual(batch, scalar) {
 				t.Errorf("fast-forwarded result diverged from scalar:\n batch %+v\nscalar %+v", batch, scalar)
@@ -398,12 +506,7 @@ func TestFleetWarmAllocsTraceIndependent(t *testing.T) {
 	}
 	short, long := build(40), build(4000)
 
-	prev := SetBatchReplay(true)
-	defer SetBatchReplay(prev)
-	for _, s := range All() {
-		if s.Name() == "paper" {
-			continue
-		}
+	for _, s := range fleetSchemes() {
 		t.Run(s.Name(), func(t *testing.T) {
 			allocsOn := func(cap *replay.Capture) float64 {
 				st := NewStream(cap)
@@ -428,34 +531,49 @@ func TestFleetWarmAllocsTraceIndependent(t *testing.T) {
 	}
 }
 
-// BenchmarkFleetReplay times every fleet scheme through both replay
-// paths on one warm synthetic capture — the per-cell view of the
-// compare -bench grid numbers.
+// BenchmarkFleetReplay times the whole fleet — every fleet scheme at its
+// default point on the six paper kernels at test scale — through the
+// per-word reference coders (scalar) and the production batch kernels
+// (batch). The batch side reads warm streams and derived tables, with
+// no memo shared across operations, so batch/scalar is the replay-kernel
+// ratio; CI fails when batch is slower than scalar.
 func BenchmarkFleetReplay(b *testing.B) {
-	cap := synthCapture(3, 1024, 200000)
-	st := NewStream(cap)
-	for _, s := range All() {
-		if s.Name() == "paper" {
-			continue
-		}
-		for _, mode := range []struct {
-			name  string
-			batch bool
-		}{{"batch", true}, {"scalar", false}} {
-			b.Run(s.Name()+"/"+mode.name, func(b *testing.B) {
-				prev := SetBatchReplay(mode.batch)
-				defer SetBatchReplay(prev)
-				w := &Workload{Cap: cap, Stream: st}
-				if _, err := s.Measure(context.Background(), w, Params{}); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Measure(context.Background(), w, Params{}); err != nil {
+	kernels := kernelCaptures(b)
+	var caps []*replay.Capture
+	for _, w := range workloads.All() {
+		caps = append(caps, kernels[w.Name])
+	}
+	streams := make([]*Stream, len(caps))
+	for i, cap := range caps {
+		streams[i] = NewStream(cap)
+	}
+	schemes := fleetSchemes()
+	ctx := context.Background()
+	b.Run("scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, cap := range caps {
+				for _, s := range schemes {
+					if _, err := scalarMeasure(ctx, s.Name(), cap, Params{}); err != nil {
 						b.Fatal(err)
 					}
 				}
-			})
+			}
 		}
-	}
+	})
+	b.Run("batch", func(b *testing.B) {
+		measure := func() {
+			for ci, cap := range caps {
+				for _, s := range schemes {
+					if _, err := s.Measure(ctx, &Workload{Cap: cap, Stream: streams[ci]}, Params{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		measure() // build the derived tables
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			measure()
+		}
+	})
 }

@@ -105,9 +105,9 @@ func (lwcScheme) Spec(p Params) string {
 const lwcBlockShift = 6
 
 // lwcTables is the derived per-(entries, lines) structure: the per-index
-// difference codeword and escape tables the scalar path also builds, plus
-// the prefix sums an escape-free span reads — mapped weights, escape
-// counts, the XOR of mapped codewords — and per-64-index weight maxima.
+// difference codeword and escape tables plus the prefix sums an
+// escape-free span reads — mapped weights, escape counts, the XOR of
+// mapped codewords — and per-64-index weight maxima.
 type lwcTables struct {
 	entries int
 	capped  bool
@@ -267,94 +267,18 @@ func (s lwcScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result,
 	}
 	lines := 32 + extraLines
 	cap := w.Cap
-	var (
-		entries      int
-		capped       bool
-		trans        uint64
-		weightSum    uint64
-		maxWeight    uint64
-		escapes      uint64
-		diag         fleetDiag
-		derivedHit   bool
-		streamShared bool
-		batch        = BatchReplay()
-	)
-	if batch {
-		st, shared := fleetStream(w)
-		tab, hit := st.lwcTablesFor(p.Entries, lines)
-		if tab.err != nil {
-			return nil, tab.err
-		}
-		c := &lwcCoder{t: tab}
-		d, err := runFleet(ctx, cap, c, w.FleetShared)
-		if err != nil {
-			return nil, err
-		}
-		entries, capped = tab.entries, tab.capped
-		trans, weightSum, escapes, maxWeight = c.acc[0], c.acc[1], c.acc[2], c.peak
-		diag, derivedHit, streamShared = d, hit, shared
-	} else {
-		ranked := rankWords(cap)
-		entries = p.Entries
-		capped = entries > 0 && entries < len(ranked)
-		if entries == 0 || entries > len(ranked) {
-			entries = len(ranked)
-		}
-		book := lwcCodewords(entries, lines)
-		if len(book) < entries {
-			return nil, fmt.Errorf("scheme: lwc: %d lines cannot host %d codewords", lines, entries)
-		}
-
-		rank := make(map[uint32]int, len(ranked))
-		for i, wf := range ranked {
-			rank[wf.word] = i
-		}
-		// diff[i] is the difference codeword of text index i; mapped[i] is
-		// false for escape (raw absolute) transfers of a capped book.
-		diff := make([]uint64, len(cap.Words))
-		mapped := make([]bool, len(cap.Words))
-		for i, word := range cap.Words {
-			if r := rank[word]; r < entries {
-				diff[i], mapped[i] = book[r], true
-			} else {
-				diff[i] = uint64(word)
-			}
-		}
-
-		var (
-			started bool
-			bus     uint64 // low `lines` bits are the bus state
-		)
-		if err := replayIndices(ctx, cap, func(idx int32) {
-			if !started {
-				started = true
-				bus = diff[idx] // codeword, or raw word with upper lines clear
-				if !mapped[idx] {
-					escapes++
-				}
-				return
-			}
-			if mapped[idx] {
-				next := bus ^ diff[idx]
-				wt := uint64(bits.OnesCount64(diff[idx]))
-				trans += wt
-				weightSum += wt
-				if wt > maxWeight {
-					maxWeight = wt
-				}
-				bus = next
-				return
-			}
-			// Escape: raw word absolute on the low 32 lines, upper redundant
-			// lines cleared, escape line toggled.
-			escapes++
-			next := diff[idx]
-			trans += uint64(bits.OnesCount64(bus^next)) + 1
-			bus = next
-		}); err != nil {
-			return nil, err
-		}
+	st, shared := fleetStream(w)
+	tab, hit := st.lwcTablesFor(p.Entries, lines)
+	if tab.err != nil {
+		return nil, tab.err
 	}
+	c := &lwcCoder{t: tab}
+	d, err := runFleet(ctx, cap, c, w.FleetShared)
+	if err != nil {
+		return nil, err
+	}
+	entries, capped := tab.entries, tab.capped
+	trans, weightSum, escapes, maxWeight := c.acc[0], c.acc[1], c.acc[2], c.peak
 
 	extra := extraLines
 	if capped {
@@ -375,10 +299,6 @@ func (s lwcScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result,
 			"escape_percent": 100 * float64(escapes) / float64(max(cap.Trace.N, 1)),
 		},
 	}
-	if batch {
-		fleetFinish(r, diag, derivedHit, streamShared)
-	} else {
-		r.finish()
-	}
+	fleetFinish(r, d, hit, shared)
 	return r, nil
 }

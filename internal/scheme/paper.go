@@ -53,7 +53,7 @@ type PaperOutcome struct {
 // returned unwrapped; callers attach their configuration context.
 func MeasurePaper(ctx context.Context, w *Workload, cc core.Config) (PaperOutcome, error) {
 	encOpts := core.EncodeOpts{Workers: w.EncWorkers, Arena: w.EncArena}
-	mOpts := replay.Options{Streaming: true, Shared: w.Shared, Scratch: w.Scratch}
+	mOpts := replay.Options{Shared: w.Shared, Scratch: w.Scratch}
 	enc, err := core.EncodeCtxOpts(ctx, w.Cap.Graph, w.Cap.Profile, cc, encOpts)
 	if err != nil {
 		return PaperOutcome{}, err
@@ -66,7 +66,7 @@ func MeasurePaper(ctx context.Context, w *Workload, cc core.Config) (PaperOutcom
 		return PaperOutcome{}, err
 	}
 	dec.Strict = true
-	res, err := replay.MeasureOpts(ctx, w.Cap, enc, dec, mOpts)
+	res, err := replay.Measure(ctx, w.Cap, enc, dec, mOpts)
 	if err != nil {
 		return PaperOutcome{}, err
 	}

@@ -12,16 +12,6 @@ import (
 	"imtrans/internal/scheme"
 )
 
-// SetFleetBatchReplay switches the related-work scheme fleet between the
-// word-parallel batch kernels over the shared transition stream (on, the
-// default) and the per-word reference coders (off), returning the
-// previous setting. Measurements are bit-identical in both modes; only
-// wall time changes.
-func SetFleetBatchReplay(on bool) bool { return scheme.SetBatchReplay(on) }
-
-// FleetBatchReplay reports whether the fleet batch kernels are active.
-func FleetBatchReplay() bool { return scheme.BatchReplay() }
-
 // ReplayMeasure produces the same measurements as MeasureProgram — bit for
 // bit — from a single profiling run per program. The run's fetch stream is
 // captured as a compressed text-index trace (cached in-process by program

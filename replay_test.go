@@ -160,7 +160,7 @@ func TestReplayMemoExercised(t *testing.T) {
 			t.Fatal(err)
 		}
 		dec.Strict = true
-		res, err := replay.Measure(cap, enc, dec)
+		res, err := replay.Measure(nil, cap, enc, dec, replay.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

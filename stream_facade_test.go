@@ -134,6 +134,9 @@ func TestStreamingReplayWarmAllocs(t *testing.T) {
 	}
 	a1 := warmAllocs(small)
 	a2 := warmAllocs(large)
+	if raceEnabled {
+		t.Skipf("allocs %.0f (iters=4) vs %.0f (iters=40) not compared: the race detector drops sync.Pool puts at random, so counts are nondeterministic; the exact check runs without -race", a1, a2)
+	}
 	// The two programs share text, so coverage — and with it the entire
 	// streaming working set — is identical; a couple of allocs of slack
 	// absorb pool misses under GC pressure.
