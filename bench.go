@@ -186,8 +186,7 @@ func (b Benchmark) MeasureWithCache(cache CacheConfig, enc Config) (*CacheMeasur
 // simulated once per (kernel, scale) across the whole process and every
 // configuration is replayed from the cached fetch trace — streaming, in
 // memory proportional to the covered-block count rather than the
-// program — bit-identical to MeasureProgram (see ReplayMeasure). Use
-// SimulateMeasure to force the two-run reference pipeline.
+// program — exactly as MeasureProgram does.
 func (b Benchmark) Measure(cfgs ...Config) ([]Measurement, error) {
 	return b.MeasureCtx(context.Background(), cfgs...)
 }
@@ -202,20 +201,6 @@ func (b Benchmark) MeasureCtx(ctx context.Context, cfgs ...Config) ([]Measuremen
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}
 	ms, err := replayMeasureCtx(ctx, p, b.setup, b.captureSalt(), cfgs...)
-	if err != nil {
-		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
-	}
-	return ms, nil
-}
-
-// SimulateMeasure is Measure without the capture/replay engine: the
-// reference two-run MeasureProgram pipeline, simulating the kernel anew.
-func (b Benchmark) SimulateMeasure(cfgs ...Config) ([]Measurement, error) {
-	p, err := b.Program()
-	if err != nil {
-		return nil, err
-	}
-	ms, err := MeasureProgram(p, b.setup, cfgs...)
 	if err != nil {
 		return nil, fmt.Errorf("imtrans: %s: %w", b.Name, err)
 	}

@@ -87,9 +87,9 @@ commands:
   measure <file.s>    measure encoded vs baseline transitions
   bench <name>        run the pipeline on a built-in benchmark
                       (mmul, sor, ej, fft, tri, lu)
-  bench -json [name...]  time the serial simulate-per-call baseline against
-                      the capture/replay parallel sweep on a config grid
-                      and write BENCH_sweep.json (-o path, -j parallelism).
+  bench -json [name...]  time the capture/replay parallel sweep on a config
+                      grid, cold and on a 1/4/8-proc scaling ladder, and
+                      write BENCH_sweep.json (-o path, -j parallelism).
                       The sweep runs supervised: -checkpoint journals each
                       completed cell so an interrupted run resumes where it
                       stopped, -timeout bounds the wall clock, -retries

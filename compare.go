@@ -206,11 +206,6 @@ func compareGrid(benchmarks []Benchmark, specs []SchemeSpec) (grid string, bench
 	return fmt.Sprintf("%x", h.Sum(nil)), benchNames, specNames
 }
 
-// CompareMeasure runs a cross-scheme comparison with default supervision.
-func CompareMeasure(benchmarks []Benchmark, specs []SchemeSpec, parallelism int) (*CompareResult, error) {
-	return CompareMeasureCtx(context.Background(), benchmarks, specs, SweepOptions{Parallelism: parallelism})
-}
-
 // CompareMeasureCtx evaluates every (benchmark, scheme spec) pair of a
 // comparison grid under the same supervision contract as SweepMeasureCtx:
 // per-cell recover() guards, the retry policy and circuit breaker from
@@ -323,17 +318,25 @@ func CompareMeasureCtx(ctx context.Context, benchmarks []Benchmark, specs []Sche
 	perScheme := make([]int, ns)
 	perSchemeMemo := make([]uint64, ns)
 	perSchemeStream := make([]uint64, ns)
+	// A row's stream is built once; every fresh cell that read it after
+	// the first in grid order counts as sharing it. Grid order, not the
+	// order the workers happened to reach the stream, keeps the
+	// per-scheme counters independent of parallelism.
+	onStream := make([]bool, nb)
 	for t, c := range run.cells {
 		if !run.fresh(t) {
 			continue
 		}
-		si := t % ns
+		bi, si := t/ns, t%ns
 		perScheme[si]++
 		memoHits += c.memo.hits
 		perSchemeMemo[si] += c.memo.hits
 		if c.memo.stream {
-			streamShared++
-			perSchemeStream[si]++
+			if onStream[bi] {
+				streamShared++
+				perSchemeStream[si]++
+			}
+			onStream[bi] = true
 		}
 	}
 	c := &res.Counters

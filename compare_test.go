@@ -82,7 +82,11 @@ func TestCompareMatchesCaptureBaselines(t *testing.T) {
 	for _, b := range Benchmarks() {
 		b := testScale(b)
 		t.Run(b.Name, func(t *testing.T) {
-			direct, err := b.SimulateMeasure(Config{})
+			p, err := b.Program()
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := simulateMeasure(p, b.setup, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,8 +382,8 @@ func TestCompareFaultRetryAndIsolation(t *testing.T) {
 // TestCompareFleetCountersAndCellNs pins the fleet replay telemetry on a
 // multi-cell grid: every completed cell records a wall time, the shared
 // transition stream is attached to more than one cell per benchmark
-// (compare_stream_shared), and the repeat fast-forward plus derived-table
-// cache serve hits (compare_memo_hits), globally and per scheme.
+// (compare_stream_shared), and the repeat fast-forward and repeat memo
+// serve hits (compare_memo_hits), globally and per scheme.
 func TestCompareFleetCountersAndCellNs(t *testing.T) {
 	benches := []Benchmark{testScale(mustBench(t, "mmul")), testScale(mustBench(t, "sor"))}
 	specs := []SchemeSpec{{Name: "businvert"}, {Name: "dictionary"}, {Name: "gray"}, {Name: "t0"}}
@@ -411,6 +415,52 @@ func TestCompareFleetCountersAndCellNs(t *testing.T) {
 	if perScheme != res.Counters.Get("compare_memo_hits") {
 		t.Errorf("per-scheme memo hits (%d) do not sum to the total (%d)",
 			perScheme, res.Counters.Get("compare_memo_hits"))
+	}
+}
+
+// TestCompareCountersDeterministic runs one grid — two kernels, every
+// registered scheme — once at Parallelism 1 and four times at Parallelism
+// 2, and requires equal counters from every run: which cell of a
+// concurrent grid reaches a shared table or stream first must not show
+// in any count. Only the two worker-shape counters, which record the
+// requested parallelism itself, may differ between the two settings.
+func TestCompareCountersDeterministic(t *testing.T) {
+	benches := []Benchmark{testScale(mustBench(t, "mmul")), testScale(mustBench(t, "lu"))}
+	specs := []SchemeSpec{
+		{Name: "paper"}, {Name: "businvert"}, {Name: "dictionary"}, {Name: "gray"},
+		{Name: "t0"}, {Name: "codebook"}, {Name: "lwc"},
+	}
+	counters := func(par int) map[string]uint64 {
+		t.Helper()
+		res, err := CompareMeasureCtx(context.Background(), benches, specs, SweepOptions{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]uint64{}
+		for _, name := range res.Counters.Names() {
+			out[name] = res.Counters.Get(name)
+		}
+		return out
+	}
+	shape := []string{"compare_grid_workers", "compare_inner_workers"}
+	serial := counters(1)
+	if serial["compare_memo_hits"] == 0 {
+		t.Fatal("compare_memo_hits is zero on a loopy grid")
+	}
+	for run := 0; run < 4; run++ {
+		got := counters(2)
+		for _, name := range shape {
+			if got[name] == 0 {
+				t.Errorf("run %d: %s missing", run, name)
+			}
+			got[name] = serial[name]
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("run %d: counters at Parallelism 2 differ from Parallelism 1\n got %v\nwant %v", run, got, serial)
+		}
 	}
 }
 

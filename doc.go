@@ -13,7 +13,8 @@
 //   - the application pipeline: profile a program, select hot basic blocks
 //     under a Transformation Table budget, encode the instruction image and
 //     measure dynamic bus transitions with the fetch-side decoder in the
-//     loop (Measure, MeasureProgram);
+//     loop, replaying one captured fetch trace per program (Measure,
+//     MeasureProgram, MeasurePhased, TraceProgram);
 //   - the paper's six DSP/numerical benchmarks with golden references
 //     (Benchmarks), a Bus-Invert comparator and an energy model.
 //

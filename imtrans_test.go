@@ -207,9 +207,11 @@ func TestMeasureProgramDefaultConfig(t *testing.T) {
 }
 
 func TestMeasureProgramDetectsNondeterministicSetup(t *testing.T) {
-	// The two pipeline runs must see identical inputs; a setup that
-	// writes different data on each call changes the loop trip count and
-	// must be reported rather than silently producing skewed numbers.
+	// The two runs of the simulate oracle must see identical inputs; a
+	// setup that writes different data on each call changes the loop trip
+	// count and must be reported rather than silently producing skewed
+	// numbers. Only the oracle has two runs that can diverge: MeasureProgram
+	// profiles once and replays that one capture.
 	p, err := Assemble(`
 		li  $t0, 0x10010000
 		lw  $t1, 0($t0)
@@ -227,7 +229,7 @@ func TestMeasureProgramDetectsNondeterministicSetup(t *testing.T) {
 		calls++
 		return m.StoreWord(DataBase, uint32(100*calls))
 	}
-	_, err = MeasureProgram(p, setup, Config{})
+	_, err = simulateMeasure(p, setup, Config{})
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Errorf("err = %v, want divergence report", err)
 	}

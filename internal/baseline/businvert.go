@@ -3,10 +3,10 @@
 // address-bus codes. Each one is driven one word at a time, as the bus
 // sees it. The registered schemes in internal/scheme measure the same
 // codes through word-parallel batch kernels, and the tests hold those
-// kernels to these coders bit for bit; the two-run simulate path
-// (imtrans.MeasureProgram) drives Bus-Invert and the dictionary per
-// fetch. BuildDictionary and GrayEncode are also used by the production
-// kernels.
+// kernels to these coders bit for bit, and the root package's two-run
+// simulate oracle drives Bus-Invert and the dictionary per fetch. Only
+// tests drive the coders; BuildDictionary and GrayEncode are also used by
+// the production kernels.
 //
 // Bus-Invert coding (Stan & Burleson, IEEE TVLSI 1995) is the
 // general-purpose low-power bus code the paper's related work discusses:

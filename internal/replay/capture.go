@@ -15,8 +15,8 @@ type Key [sha256.Size]byte
 // ProgramKey hashes a program image and a salt into a cache key. Two
 // programs with the same key are assumed to produce the same fetch stream,
 // which holds whenever the run's memory setup is a deterministic function
-// of the salted identity — the same contract MeasureProgram already
-// imposes on its setup callback.
+// of the salted identity. Callers whose setup the salt does not name must
+// not cache under this key.
 func ProgramKey(textBase uint32, text []uint32, dataBase uint32, data []byte, salt string) Key {
 	h := sha256.New()
 	var word [4]byte
@@ -42,8 +42,9 @@ func ProgramKey(textBase uint32, text []uint32, dataBase uint32, data []byte, sa
 // itself records the trace, the profile and the data bus; the stream
 // statistics are derived from the trace once, right after it, and stored
 // here so cached and persisted captures serve them without
-// recomputation. Replaying a capture against an encoding reproduces
-// MeasureProgram's output bit for bit without running the CPU again.
+// recomputation. Replaying a capture against an encoding reproduces a
+// decoder-in-the-loop simulation's output bit for bit without running the
+// CPU again.
 type Capture struct {
 	Key   Key
 	Base  uint32   // text base address

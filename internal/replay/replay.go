@@ -10,8 +10,8 @@ import (
 )
 
 // Result is the configuration-dependent half of a measurement, replayed
-// from a capture: the encoded-bus transition counts that MeasureProgram
-// would have produced with this encoding's sink in its fetch hook.
+// from a capture: the encoded-bus transition counts a second simulation
+// would produce with this encoding's sink in its fetch hook.
 type Result struct {
 	Encoded        uint64
 	PerLineEncoded []uint64

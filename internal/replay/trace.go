@@ -110,8 +110,10 @@ func runOps(ops []Op, fn func(delta int32, count int64) bool) bool {
 }
 
 // Indices calls fn for every fetched text index in stream order, fully
-// expanded — the per-fetch reference walk the tests hold the structured
-// walkers to. The replay engine, the fleet kernels and the capture-time
+// expanded. It is the per-fetch walk of the studies that need every fetch
+// in order (imtrans.MeasurePhased's table switching, imtrans.TraceProgram's
+// annotated view) and the reference the tests hold the structured walkers
+// to. The replay engine, the fleet kernels and the capture-time
 // derivations work on runs and repeat groups instead.
 func (t *Trace) Indices(fn func(idx int32)) {
 	if t.N == 0 {

@@ -147,7 +147,7 @@ func (s addrBusScheme) Measure(ctx context.Context, w *Workload, p Params) (*Res
 	}
 	cap := w.Cap
 	st, shared := fleetStream(w)
-	tab, hit := st.addrTablesFor(width)
+	tab := st.addrTablesFor(width)
 	c := &addrCoder{base: cap.Base, mask: widthMask(width), tab: tab}
 	d, err := runFleet(ctx, cap, c, w.FleetShared)
 	if err != nil {
@@ -169,6 +169,6 @@ func (s addrBusScheme) Measure(ctx context.Context, w *Workload, p Params) (*Res
 			"bus_addr": 1, // marks the address bus: Baseline differs from data-bus schemes
 		},
 	}
-	fleetFinish(r, d, hit, shared)
+	fleetFinish(r, d, shared)
 	return r, nil
 }

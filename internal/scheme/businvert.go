@@ -8,10 +8,10 @@ import (
 
 // busInvertScheme measures the captured fetch stream under Bus-Invert
 // coding (Stan & Burleson). Its totals are bit-identical to the per-word
-// baseline.BusInvert coder — the comparator the reference simulate
-// pipeline (imtrans.MeasureProgram) drives per fetch, and the oracle the
-// differential tests hold this kernel to. The capture's BusInvertTotal is this
-// kernel's result, derived once at capture time.
+// baseline.BusInvert coder — the comparator the root package's two-run
+// simulate oracle drives per fetch, and the oracle the differential tests
+// hold this kernel to. The capture's BusInvertTotal is this kernel's
+// result, derived once at capture time.
 //
 // The batch kernel rests on a classification of each adjacent pair by its
 // masked toggle count p against the width w: p < w/2 leaves the invert
@@ -72,8 +72,8 @@ type biTables struct {
 }
 
 // biTablesFor builds (or fetches) the bus-invert tables of one width.
-func (st *Stream) biTablesFor(width int) (*biTables, bool) {
-	v, hit := st.derive(string([]byte{'b', byte(width)}), func() any {
+func (st *Stream) biTablesFor(width int) *biTables {
+	v := st.derive(string([]byte{'b', byte(width)}), func() any {
 		pp := st.MaskedPairPop(widthMask(width))
 		t := &biTables{
 			pp:   pp,
@@ -97,7 +97,7 @@ func (st *Stream) biTablesFor(width int) (*biTables, bool) {
 		}
 		return t
 	})
-	return v.(*biTables), hit
+	return v.(*biTables)
 }
 
 // biCoder is the bus-invert batch coder: acc[0] data-line transitions,
@@ -171,7 +171,7 @@ func (s busInvertScheme) Measure(ctx context.Context, w *Workload, p Params) (*R
 	}
 	cap := w.Cap
 	st, shared := fleetStream(w)
-	tab, hit := st.biTablesFor(width)
+	tab := st.biTablesFor(width)
 	c := &biCoder{words: cap.Words, mask: widthMask(width), width: int64(width), tab: tab}
 	d, err := runFleet(ctx, cap, c, w.FleetShared)
 	if err != nil {
@@ -190,6 +190,6 @@ func (s busInvertScheme) Measure(ctx context.Context, w *Workload, p Params) (*R
 			"invert_transitions": float64(inv),
 		},
 	}
-	fleetFinish(r, d, hit, shared)
+	fleetFinish(r, d, shared)
 	return r, nil
 }

@@ -146,9 +146,9 @@ type cbTables struct {
 // cbTablesFor builds (or fetches) the codebook tables of one requested
 // capacity (the pre-resolution Params value; resolution against the
 // distinct-word count happens inside the build).
-func (st *Stream) cbTablesFor(reqEntries int) (*cbTables, bool) {
+func (st *Stream) cbTablesFor(reqEntries int) *cbTables {
 	key := string([]byte{'c', byte(reqEntries), byte(reqEntries >> 8), byte(reqEntries >> 16), byte(reqEntries >> 24)})
-	v, hit := st.derive(key, func() any {
+	v := st.derive(key, func() any {
 		cap := st.cap
 		ranked := rankWords(cap)
 		entries := reqEntries
@@ -192,7 +192,7 @@ func (st *Stream) cbTablesFor(reqEntries int) (*cbTables, bool) {
 		}
 		return t
 	})
-	return v.(*cbTables), hit
+	return v.(*cbTables)
 }
 
 // cbCoder is the codebook batch coder: acc[0] transitions, acc[1] mapped
@@ -241,7 +241,7 @@ func (s codebookScheme) Measure(ctx context.Context, w *Workload, p Params) (*Re
 	}
 	cap := w.Cap
 	st, shared := fleetStream(w)
-	tab, hit := st.cbTablesFor(p.Entries)
+	tab := st.cbTablesFor(p.Entries)
 	c := &cbCoder{t: tab}
 	d, err := runFleet(ctx, cap, c, w.FleetShared)
 	if err != nil {
@@ -266,6 +266,6 @@ func (s codebookScheme) Measure(ctx context.Context, w *Workload, p Params) (*Re
 			"hit_rate_percent": 100 * float64(hits) / float64(max(cap.Trace.N, 1)),
 		},
 	}
-	fleetFinish(r, d, hit, shared)
+	fleetFinish(r, d, shared)
 	return r, nil
 }

@@ -11,10 +11,10 @@ import (
 // dictionaryScheme measures the captured stream under dictionary
 // compression (cf. Lekatsas et al.): the most frequent instructions drive
 // only index lines plus a hit flag, misses drive the raw word. Its totals
-// equal those of the per-word baseline.Dictionary coder, which the
-// reference simulate pipeline (imtrans.MeasureProgram) drives per fetch
-// at the default 256 entries; the capture's DictionaryTotal is this
-// kernel's result, derived once at capture time.
+// equal those of the per-word baseline.Dictionary coder, which the root
+// package's two-run simulate oracle drives per fetch at the default 256
+// entries; the capture's DictionaryTotal is this kernel's result, derived
+// once at capture time.
 //
 // The batch kernel cannot prefix-sum — the undriven lines hold the bits
 // of the last miss, so the bus state threads through every fetch — but it
@@ -71,9 +71,9 @@ type dictTables struct {
 }
 
 // dictTablesFor builds (or fetches) the drive tables of one capacity.
-func (st *Stream) dictTablesFor(entries int) (*dictTables, bool) {
+func (st *Stream) dictTablesFor(entries int) *dictTables {
 	key := string([]byte{'d', byte(entries), byte(entries >> 8), byte(entries >> 16), byte(entries >> 24)})
-	v, hit := st.derive(key, func() any {
+	v := st.derive(key, func() any {
 		cap := st.cap
 		dict := baseline.BuildDictionary(cap.Words, cap.Profile, entries)
 		idxMask := uint32(1)<<uint(dict.IndexBits()) - 1
@@ -92,7 +92,7 @@ func (st *Stream) dictTablesFor(entries int) (*dictTables, bool) {
 		}
 		return t
 	})
-	return v.(*dictTables), hit
+	return v.(*dictTables)
 }
 
 // dictCoder is the dictionary batch coder: acc[0] bus transitions
@@ -157,7 +157,7 @@ func (s dictionaryScheme) Measure(ctx context.Context, w *Workload, p Params) (*
 	}
 	cap := w.Cap
 	st, shared := fleetStream(w)
-	tab, hit := st.dictTablesFor(entries)
+	tab := st.dictTablesFor(entries)
 	c := &dictCoder{t: tab}
 	d, err := runFleet(ctx, cap, c, w.FleetShared)
 	if err != nil {
@@ -178,6 +178,6 @@ func (s dictionaryScheme) Measure(ctx context.Context, w *Workload, p Params) (*
 			"entries":          float64(dict.Entries()),
 		},
 	}
-	fleetFinish(r, d, hit, shared)
+	fleetFinish(r, d, shared)
 	return r, nil
 }

@@ -336,21 +336,22 @@ func (e *fleetEngine) runRepeat(op *replay.Op) {
 }
 
 // fleetStream returns the workload's shared transition stream, building
-// a private one when the grid machinery did not attach one; shared
-// reports whether another measurement attached to the same stream first.
+// a private one when the grid machinery did not attach one (or attached
+// one of another capture); shared reports which of the two it returned.
 func fleetStream(w *Workload) (st *Stream, shared bool) {
 	if w.Stream != nil && w.Stream.cap == w.Cap {
-		return w.Stream, w.Stream.acquire()
+		return w.Stream, true
 	}
 	return NewStream(w.Cap), false
 }
 
-// fleetFinish stamps the replay diagnostics onto a fleet result.
-func fleetFinish(r *Result, d fleetDiag, derivedHit, streamShared bool) {
+// fleetFinish stamps the replay diagnostics onto a fleet result. MemoHits
+// counts only what this measurement's own walk served from its
+// fast-forward and repeat memo: a derived-table cache hit depends on
+// which cell of the grid built the table first (gray and t0 share one),
+// so counting it would make the per-scheme counters scheduling-dependent.
+func fleetFinish(r *Result, d fleetDiag, streamShared bool) {
 	r.MemoHits = d.ffIters + d.memoHits
-	if derivedHit {
-		r.MemoHits++
-	}
 	r.StreamShared = streamShared
 	r.finish()
 }

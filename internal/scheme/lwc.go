@@ -123,9 +123,9 @@ type lwcTables struct {
 
 // lwcTablesFor builds (or fetches) the tables of one requested capacity
 // and line count.
-func (st *Stream) lwcTablesFor(reqEntries, lines int) (*lwcTables, bool) {
+func (st *Stream) lwcTablesFor(reqEntries, lines int) *lwcTables {
 	key := string([]byte{'l', byte(reqEntries), byte(reqEntries >> 8), byte(reqEntries >> 16), byte(reqEntries >> 24), byte(lines)})
-	v, hit := st.derive(key, func() any {
+	v := st.derive(key, func() any {
 		cap := st.cap
 		ranked := rankWords(cap)
 		entries := reqEntries
@@ -173,7 +173,7 @@ func (st *Stream) lwcTablesFor(reqEntries, lines int) (*lwcTables, bool) {
 		}
 		return t
 	})
-	return v.(*lwcTables), hit
+	return v.(*lwcTables)
 }
 
 // rangeMaxWt returns the maximum mapped codeword weight over indices
@@ -268,7 +268,7 @@ func (s lwcScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result,
 	lines := 32 + extraLines
 	cap := w.Cap
 	st, shared := fleetStream(w)
-	tab, hit := st.lwcTablesFor(p.Entries, lines)
+	tab := st.lwcTablesFor(p.Entries, lines)
 	if tab.err != nil {
 		return nil, tab.err
 	}
@@ -299,6 +299,6 @@ func (s lwcScheme) Measure(ctx context.Context, w *Workload, p Params) (*Result,
 			"escape_percent": 100 * float64(escapes) / float64(max(cap.Trace.N, 1)),
 		},
 	}
-	fleetFinish(r, d, hit, shared)
+	fleetFinish(r, d, shared)
 	return r, nil
 }

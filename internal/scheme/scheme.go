@@ -100,10 +100,10 @@ type Result struct {
 	Detail map[string]float64 `json:"detail,omitempty"`
 
 	// MemoHits and StreamShared are fleet replay-path diagnostics: loop
-	// iterations and repeat groups charged from a memo (plus derived
-	// tables served from the stream cache), and whether the measurement
-	// attached to an already-used shared stream. They feed the compare
-	// grid's counters and are deliberately excluded from the wire format.
+	// iterations and repeat groups charged from a memo, and whether the
+	// measurement read the workload's shared stream rather than a private
+	// one. They feed the compare grid's counters and are deliberately
+	// excluded from the wire format.
 	MemoHits     uint64 `json:"-"`
 	StreamShared bool   `json:"-"`
 }

@@ -3,7 +3,6 @@ package scheme
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"imtrans/internal/baseline"
 	"imtrans/internal/bitline"
@@ -47,10 +46,8 @@ type Stream struct {
 	lanesOnce sync.Once
 	lanes     [32][]uint32
 
-	mu          sync.Mutex
-	derived     map[string]any
-	derivedHits atomic.Uint64
-	uses        atomic.Uint64
+	mu      sync.Mutex
+	derived map[string]any
 }
 
 // NewStream materialises the transition-stream layer of a capture.
@@ -123,42 +120,28 @@ func (st *Stream) SpanCostMasked(lo, hi int32, mask uint32) uint64 {
 	return total
 }
 
-// acquire marks one measurement attaching to the stream and reports
-// whether another measurement attached before it — the signal behind the
-// compare grid's stream_shared counter.
-func (st *Stream) acquire() bool { return st.uses.Add(1) > 1 }
-
-// Uses reports how many measurements have attached to the stream.
-func (st *Stream) Uses() uint64 { return st.uses.Load() }
-
-// DerivedHits reports how many derived-table requests were served from
-// the cache instead of built.
-func (st *Stream) DerivedHits() uint64 { return st.derivedHits.Load() }
-
 // derive returns the cached derived table under key, building it exactly
-// once per stream; hit reports whether the table was served from the
-// cache. This is the cross-cell memoisation of everything a scheme
+// once per stream. This is the cross-cell memoisation of everything a scheme
 // configuration precomputes from the capture: equal-(scheme, spec) cells
 // ask for the same key and pay one build between them.
-func (st *Stream) derive(key string, build func() any) (v any, hit bool) {
+func (st *Stream) derive(key string, build func() any) any {
 	st.mu.Lock()
 	if v, ok := st.derived[key]; ok {
 		st.mu.Unlock()
-		st.derivedHits.Add(1)
-		return v, true
+		return v
 	}
 	st.mu.Unlock()
 	// Build outside the lock: derivations are pure, so a racing double
 	// build costs time, never correctness; the first store wins.
-	v = build()
+	v := build()
 	st.mu.Lock()
 	if prev, ok := st.derived[key]; ok {
 		st.mu.Unlock()
-		return prev, false
+		return prev
 	}
 	st.derived[key] = v
 	st.mu.Unlock()
-	return v, false
+	return v
 }
 
 // MaskedPairPop returns the per-pair popcount array restricted to the
@@ -167,7 +150,7 @@ func (st *Stream) MaskedPairPop(mask uint32) []uint8 {
 	if mask == ^uint32(0) {
 		return st.pairPop
 	}
-	v, _ := st.derive(maskKey(mask), func() any {
+	v := st.derive(maskKey(mask), func() any {
 		out := make([]uint8, len(st.xors))
 		for i, x := range st.xors {
 			out[i] = uint8(bits.OnesCount32(x & mask))
@@ -195,10 +178,10 @@ type addrTables struct {
 // addrTablesFor builds (or fetches) the address tables of one modelled
 // width; the key is shared by gray and t0 cells, so whichever scheme
 // measures first pays the build for both.
-func (st *Stream) addrTablesFor(width int) (*addrTables, bool) {
+func (st *Stream) addrTablesFor(width int) *addrTables {
 	mask := widthMask(width)
 	shift := uint(2) // word-aligned fetch: stride 4
-	v, hit := st.derive(string([]byte{'a', byte(width)}), func() any {
+	v := st.derive(string([]byte{'a', byte(width)}), func() any {
 		n := len(st.cap.Words)
 		at := &addrTables{bin: make([]uint64, n), gray: make([]uint64, n)}
 		if n == 0 {
@@ -216,7 +199,7 @@ func (st *Stream) addrTablesFor(width int) (*addrTables, bool) {
 		}
 		return at
 	})
-	return v.(*addrTables), hit
+	return v.(*addrTables)
 }
 
 func widthMask(width int) uint32 {

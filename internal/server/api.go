@@ -188,7 +188,7 @@ func (r *MeasureRequest) configs() []imtrans.Config {
 }
 
 // MeasureResponse is the measured grid, indexed [benchmark][config].
-// Values are bit-identical to what SweepMeasure / ReplayMeasure return
+// Values are bit-identical to what SweepMeasureCtx / MeasureProgram return
 // in-process: the daemon adds no rounding of its own, and encoding/json
 // round-trips every float64 exactly.
 type MeasureResponse struct {

@@ -210,8 +210,8 @@ func metricValue(body, name string) int64 {
 }
 
 // TestCompareFleetCountersInMetrics checks that the fleet replay
-// telemetry of a served comparison — repeat/derived-table memo hits and
-// shared-stream attachments — lands in /metrics: a 2x2 fleet grid shares
+// telemetry of a served comparison — repeat memo hits and shared-stream
+// attachments — lands in /metrics: a 2x2 fleet grid shares
 // each benchmark's transition stream between its two cells and
 // fast-forwards the kernels' hot loops, so both families must be nonzero,
 // globally and with scheme labels.

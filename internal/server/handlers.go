@@ -74,7 +74,7 @@ func (s *Server) handleMeasure(ctx context.Context, body []byte) (*cachedResult,
 		if err != nil {
 			return errResult(http.StatusBadRequest, err.Error()), nil
 		}
-		ms, err := imtrans.ReplayMeasureCtx(ctx, p, nil, cfgs...)
+		ms, err := imtrans.MeasureProgramCtx(ctx, p, nil, cfgs...)
 		if err != nil {
 			return workErr(ctx, err), nil
 		}

@@ -58,7 +58,7 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 
 // TestMeasureBitIdentical is the service's core correctness claim: the
 // grid POST /v1/measure returns for the paper's six kernels is
-// bit-identical to what SweepMeasure computes in-process — the HTTP/JSON
+// bit-identical to what SweepMeasureCtx computes in-process — the HTTP/JSON
 // layer adds no rounding (encoding/json round-trips every float64
 // exactly) and no reordering.
 func TestMeasureBitIdentical(t *testing.T) {
@@ -84,16 +84,20 @@ func TestMeasureBitIdentical(t *testing.T) {
 		}
 		benches[i] = b
 	}
-	want, err := imtrans.SweepMeasure(benches, nil, 0)
+	res, err := imtrans.SweepMeasureCtx(context.Background(), benches, nil, imtrans.SweepOptions{})
+	if err == nil {
+		err = res.Err()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := res.Measurements
 	if len(resp.Measurements) != len(want) {
 		t.Fatalf("got %d benchmark rows, want %d", len(resp.Measurements), len(want))
 	}
 	for i := range want {
 		if !reflect.DeepEqual(resp.Measurements[i], want[i]) {
-			t.Errorf("%s: measurements over HTTP differ from SweepMeasure", sweepScales[i].Name)
+			t.Errorf("%s: measurements over HTTP differ from SweepMeasureCtx", sweepScales[i].Name)
 		}
 		for j, done := range resp.Done[i] {
 			if !done {
@@ -590,7 +594,7 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestSourceMeasureMatchesReplay routes an inline program through
-// /v1/measure and compares with ReplayMeasure directly.
+// /v1/measure and compares with MeasureProgramCtx directly.
 func TestSourceMeasureMatchesReplay(t *testing.T) {
 	const src = `
 	li   $t0, 100
@@ -621,12 +625,12 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := imtrans.ReplayMeasureCtx(context.Background(), prog, nil, imtrans.Config{})
+	want, err := imtrans.MeasureProgramCtx(context.Background(), prog, nil, imtrans.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(resp.Measurements, [][]imtrans.Measurement{want}) {
-		t.Error("source measurement over HTTP differs from ReplayMeasure")
+		t.Error("source measurement over HTTP differs from MeasureProgramCtx")
 	}
 }
 

@@ -131,3 +131,18 @@ func (m *Machine) Run() (*RunResult, error) {
 	}
 	return res, nil
 }
+
+// newMachine loads the program into a fresh memory, applies setup, and
+// returns the CPU that runs it.
+func newMachine(p *Program, setup func(Memory) error) (*cpu.CPU, error) {
+	m := mem.New()
+	for i, b := range p.Data {
+		m.StoreByte(p.DataBase+uint32(i), b)
+	}
+	if setup != nil {
+		if err := setup(Memory{m}); err != nil {
+			return nil, fmt.Errorf("imtrans: setup: %w", err)
+		}
+	}
+	return cpu.New(cpu.Program{Base: p.TextBase, Words: p.Text}, m)
+}

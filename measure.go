@@ -1,17 +1,11 @@
 package imtrans
 
 import (
+	"context"
 	"fmt"
 
-	"imtrans/internal/baseline"
-	"imtrans/internal/cfg"
 	"imtrans/internal/core"
-	"imtrans/internal/cpu"
-	"imtrans/internal/hw"
-	"imtrans/internal/mem"
-	"imtrans/internal/power"
 	"imtrans/internal/scheme"
-	"imtrans/internal/trace"
 )
 
 // Config selects the encoding parameters of one measurement, mirroring the
@@ -105,137 +99,28 @@ func (m Measurement) ReductionPercent() float64 { return m.Percent }
 
 // MeasureProgram runs the full experimental pipeline on a program:
 //
-//  1. a profiling run measures baseline bus transitions, the bus-invert
-//     comparator, and the per-instruction execution profile;
+//  1. one profiling run captures the compressed fetch trace, the
+//     per-instruction execution profile and the configuration-independent
+//     bus totals (baseline, Bus-Invert, dictionary);
 //  2. each configuration's encoding is planned from the profile and
 //     statically verified;
-//  3. a second, identical execution measures every configuration's encoded
-//     bus simultaneously, with the fetch-side decoder model restoring each
+//  3. the trace is replayed against every configuration's encoded image,
+//     with the fetch-side decoder model restoring each covered
 //     instruction and the harness checking it against the original word.
 //
-// setup, if non-nil, initialises data memory before each run (both runs
-// must see identical input so the fetch streams coincide).
+// Without a setup callback the capture is shared through the process-wide
+// capture cache, keyed by program content. setup, if non-nil, initialises
+// data memory before the run; such a capture is never cached, since the
+// key cannot see what the callback writes. Configurations are evaluated
+// concurrently (see SetParallelism) with deterministic output ordering.
 func MeasureProgram(p *Program, setup func(Memory) error, cfgs ...Config) ([]Measurement, error) {
-	if len(cfgs) == 0 {
-		cfgs = []Config{{}}
-	}
-	// Run 1: profile + baseline.
-	m1, err := newMachine(p, setup)
-	if err != nil {
-		return nil, err
-	}
-	baseBus := trace.NewBus(32)
-	busInv := baseline.NewBusInvert(32)
-	m1.OnFetch = func(pc, word uint32) {
-		baseBus.Transfer(word)
-		busInv.Transfer(word)
-	}
-	if err := m1.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: profiling run: %w", err)
-	}
-	profile := m1.Profile()
-
-	g, err := cfg.Build(p.TextBase, p.Text)
-	if err != nil {
-		return nil, err
-	}
-	dict := baseline.BuildDictionary(p.Text, profile, 256)
-
-	// Plan and statically verify every configuration.
-	type sink struct {
-		cfg Config
-		enc *core.Encoding
-		dec *hw.Decoder
-		bus *trace.Bus
-	}
-	sinks := make([]*sink, len(cfgs))
-	for i, c := range cfgs {
-		enc, err := core.Encode(g, profile, c.coreConfig())
-		if err != nil {
-			return nil, fmt.Errorf("imtrans: %v: %w", c, err)
-		}
-		if err := enc.Verify(); err != nil {
-			return nil, fmt.Errorf("imtrans: %v: %w", c, err)
-		}
-		dec, err := hw.NewDecoder(enc)
-		if err != nil {
-			return nil, fmt.Errorf("imtrans: %v: %w", c, err)
-		}
-		dec.Strict = true
-		sinks[i] = &sink{cfg: c, enc: enc, dec: dec, bus: trace.NewBus(32)}
-	}
-
-	// Run 2: measure all encoded buses in one simulation.
-	m2, err := newMachine(p, setup)
-	if err != nil {
-		return nil, err
-	}
-	var hookErr error
-	base := p.TextBase
-	m2.OnFetch = func(pc, word uint32) {
-		idx := int(pc-base) / 4
-		dict.Transfer(word)
-		for _, s := range sinks {
-			busWord := s.enc.EncodedWords[idx]
-			s.bus.Transfer(busWord)
-			restored, err := s.dec.OnFetch(pc, busWord)
-			if err != nil && hookErr == nil {
-				hookErr = fmt.Errorf("imtrans: %v: %w", s.cfg, err)
-			}
-			if restored != word && hookErr == nil {
-				hookErr = fmt.Errorf("imtrans: %v: decoder restored %#08x at pc %#x, want %#08x",
-					s.cfg, restored, pc, word)
-			}
-		}
-	}
-	if err := m2.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: measurement run: %w", err)
-	}
-	if hookErr != nil {
-		return nil, hookErr
-	}
-	if m2.InstCount != m1.InstCount {
-		return nil, fmt.Errorf("imtrans: runs diverged (%d vs %d instructions); setup must be deterministic",
-			m1.InstCount, m2.InstCount)
-	}
-
-	out := make([]Measurement, len(sinks))
-	for i, s := range sinks {
-		res := Measurement{
-			Config:          s.cfg,
-			Instructions:    m2.InstCount,
-			Baseline:        baseBus.Total(),
-			Encoded:         s.bus.Total(),
-			BusInvert:       busInv.Total(),
-			CoveragePercent: s.enc.Coverage(),
-			CoveredBlocks:   len(s.enc.Plans),
-			TTEntriesUsed:   s.enc.TTUsed,
-			StaticPercent:   s.enc.StaticReduction(),
-			OverheadBits:    s.dec.Overhead().TotalBits,
-			PerLineBaseline: baseBus.PerLine(),
-			PerLineEncoded:  s.bus.PerLine(),
-		}
-		res.Dictionary = dict.Transitions()
-		res.DictionaryBits = dict.TableBits()
-		res.Percent = power.Reduction(res.Baseline, res.Encoded)
-		res.BusInvertPercent = power.Reduction(res.Baseline, res.BusInvert)
-		res.DictionaryPercent = power.Reduction(res.Baseline, res.Dictionary)
-		res.EnergySavedOnChipJ, _ = power.OnChip.Saved(res.Baseline, res.Encoded)
-		res.EnergySavedOffChipJ, _ = power.OffChip.Saved(res.Baseline, res.Encoded)
-		out[i] = res
-	}
-	return out, nil
+	return MeasureProgramCtx(context.Background(), p, setup, cfgs...)
 }
 
-func newMachine(p *Program, setup func(Memory) error) (*cpu.CPU, error) {
-	m := mem.New()
-	for i, b := range p.Data {
-		m.StoreByte(p.DataBase+uint32(i), b)
-	}
-	if setup != nil {
-		if err := setup(Memory{m}); err != nil {
-			return nil, fmt.Errorf("imtrans: setup: %w", err)
-		}
-	}
-	return cpu.New(cpu.Program{Base: p.TextBase, Words: p.Text}, m)
+// MeasureProgramCtx is MeasureProgram with cooperative cancellation: the
+// context is polled inside the encoder's bit-line pool and the replay
+// fetch loop, so cancellation takes effect within one task granule. A
+// cancelled run returns ctx.Err() (possibly wrapped) and no results.
+func MeasureProgramCtx(ctx context.Context, p *Program, setup func(Memory) error, cfgs ...Config) ([]Measurement, error) {
+	return replayMeasureCtx(ctx, p, setup, "", cfgs...)
 }

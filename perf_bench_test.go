@@ -2,11 +2,12 @@ package imtrans
 
 // Hot-path benchmarks for the measurement pipeline: the CPU fetch loop,
 // encoding-plan construction, and the capture/replay engine against the
-// reference two-run simulate pipeline. CI runs these with -benchtime=1x as
+// two-run simulate oracle. CI runs these with -benchtime=1x as
 // a smoke test; locally, `go test -bench 'Perf' -run -` gives the numbers
 // behind BENCH_sweep.json (which `imtrans bench -json` regenerates).
 
 import (
+	"context"
 	"testing"
 )
 
@@ -100,13 +101,18 @@ func BenchmarkPerfCoreEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkPerfSimulateMeasure is the reference pipeline: two full
-// simulations per measurement call.
+// BenchmarkPerfSimulateMeasure is the two-run simulate oracle: two full
+// simulations per measurement call. CI requires
+// BenchmarkPerfReplayMeasureCold to be no slower.
 func BenchmarkPerfSimulateMeasure(b *testing.B) {
 	b.ReportAllocs()
 	bm := perfBenchmark(b, "mmul")
+	p, err := bm.Program()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := bm.SimulateMeasure(Config{BlockSize: 5}); err != nil {
+		if _, err := simulateMeasure(p, bm.setup, Config{BlockSize: 5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,7 +160,11 @@ func BenchmarkPerfSweep(b *testing.B) {
 	cfgs := []Config{{BlockSize: 4}, {BlockSize: 5}, {BlockSize: 6}, {BlockSize: 7}}
 	for i := 0; i < b.N; i++ {
 		ClearCaptureCache()
-		if _, err := SweepMeasure(benches, cfgs, 0); err != nil {
+		res, err := SweepMeasureCtx(context.Background(), benches, cfgs, SweepOptions{})
+		if err == nil {
+			err = res.Err()
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

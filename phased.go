@@ -1,9 +1,9 @@
 package imtrans
 
 import (
+	"context"
 	"fmt"
 
-	"imtrans/internal/cfg"
 	"imtrans/internal/core"
 	"imtrans/internal/hw"
 	"imtrans/internal/power"
@@ -35,26 +35,17 @@ type PhasedMeasurement struct {
 
 // MeasurePhased runs the phase-switched pipeline: outermost loops are
 // detected from the CFG, each is encoded independently with the full table
-// budget, and the measurement run switches decoder tables whenever the
-// fetch stream enters a block owned by a different phase. The single-
-// deployment measurement on the same program is included for comparison.
+// budget, and the program's fetch trace is walked in fetch order,
+// switching decoder tables whenever the stream enters a block owned by a
+// different phase. The single-deployment measurement on the same program
+// is included for comparison. Both come from one profiling run, captured
+// under the same caching rule as MeasureProgram.
 func MeasurePhased(p *Program, setup func(Memory) error, c Config) (*PhasedMeasurement, error) {
-	// Run 1: profile + baseline.
-	m1, err := newMachine(p, setup)
+	cap, err := captureProgram(p, setup, "")
 	if err != nil {
 		return nil, err
 	}
-	baseBus := trace.NewBus(32)
-	m1.OnFetch = func(pc, word uint32) { baseBus.Transfer(word) }
-	if err := m1.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: phased profiling run: %w", err)
-	}
-	profile := m1.Profile()
-
-	g, err := cfg.Build(p.TextBase, p.Text)
-	if err != nil {
-		return nil, err
-	}
+	g, profile := cap.Graph, cap.Profile
 
 	// One encoding per outermost loop: restrict the profile to the loop's
 	// blocks so each phase competes only with itself for table capacity.
@@ -64,7 +55,7 @@ func MeasurePhased(p *Program, setup func(Memory) error, c Config) (*PhasedMeasu
 	}
 	var phases []phase
 	blockPhase := map[int]int{} // cfg block index -> phase index
-	merged := append([]uint32(nil), p.Text...)
+	merged := append([]uint32(nil), cap.Words...)
 	for _, loop := range g.OutermostLoops() {
 		masked := make([]uint64, len(profile))
 		for _, bi := range loop.Blocks {
@@ -101,36 +92,35 @@ func MeasurePhased(p *Program, setup func(Memory) error, c Config) (*PhasedMeasu
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("imtrans: no encodable loops found")
 	}
-	// Start-PC dispatch: entering a covered block may switch phases.
-	phaseAt := map[uint32]int{}
+	// Start-index dispatch: entering a covered block may switch phases.
+	phaseAt := make([]int, len(cap.Words))
+	for i := range phaseAt {
+		phaseAt[i] = -1
+	}
 	for bi, pi := range blockPhase {
-		phaseAt[g.Blocks[bi].Start] = pi
+		phaseAt[int(g.Blocks[bi].Start-g.Base)/4] = pi
 	}
 
-	// Reference: the single-deployment measurement on the same program.
-	single, err := MeasureProgram(p, setup, c)
+	// Reference: the single-deployment measurement on the same capture.
+	single, err := replayCaptureCtx(context.Background(), cap, c)
 	if err != nil {
 		return nil, err
 	}
 
-	// Run 2: phase-switched measurement. Every entry into a phase other
-	// than the currently loaded one costs that phase's table upload.
+	// Phase-switched walk. Every entry into a phase other than the
+	// currently loaded one costs that phase's table upload.
 	perPhaseUpload := make([]uint64, len(phases))
 	for i, ph := range phases {
 		perPhaseUpload[i] = uint64(ph.dec.Overhead().UploadWords)
 	}
-	m2, err := newMachine(p, setup)
-	if err != nil {
-		return nil, err
-	}
 	encBus := trace.NewBus(32)
 	current := -1
 	var switches, uploads uint64
-	var hookErr error
-	m2.OnFetch = func(pc, word uint32) {
-		busWord := merged[int(pc-p.TextBase)/4]
+	var walkErr error
+	cap.Trace.Indices(func(idx int32) {
+		busWord := merged[idx]
 		encBus.Transfer(busWord)
-		if pi, ok := phaseAt[pc]; ok && pi != current {
+		if pi := phaseAt[idx]; pi >= 0 && pi != current {
 			if current >= 0 {
 				switches++
 			}
@@ -140,27 +130,25 @@ func MeasurePhased(p *Program, setup func(Memory) error, c Config) (*PhasedMeasu
 		if current < 0 {
 			return // before the first hot spot: everything passes through
 		}
+		pc, word := cap.Base+4*uint32(idx), cap.Words[idx]
 		restored, err := phases[current].dec.OnFetch(pc, busWord)
-		if err != nil && hookErr == nil {
-			hookErr = err
+		if err != nil && walkErr == nil {
+			walkErr = err
 		}
-		if restored != word && hookErr == nil {
-			hookErr = fmt.Errorf("imtrans: phase %d restored %#08x at pc %#x, want %#08x",
+		if restored != word && walkErr == nil {
+			walkErr = fmt.Errorf("imtrans: phase %d restored %#08x at pc %#x, want %#08x",
 				current, restored, pc, word)
 		}
-	}
-	if err := m2.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: phased measurement run: %w", err)
-	}
-	if hookErr != nil {
-		return nil, hookErr
+	})
+	if walkErr != nil {
+		return nil, walkErr
 	}
 
 	res := &PhasedMeasurement{
 		Config:        c,
 		Phases:        len(phases),
-		Instructions:  m2.InstCount,
-		Baseline:      baseBus.Total(),
+		Instructions:  cap.Instructions,
+		Baseline:      cap.BaselineTotal,
 		Encoded:       encBus.Total(),
 		SinglePercent: single[0].Percent,
 		Switches:      switches,

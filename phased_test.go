@@ -1,6 +1,9 @@
 package imtrans
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // twoPhaseSrc runs two distinct hot loops in sequence, each too large to
 // share a small Transformation Table with the other.
@@ -119,5 +122,82 @@ func TestMeasurePhasedNoLoops(t *testing.T) {
 	}
 	if _, err := MeasurePhased(p, nil, Config{}); err == nil {
 		t.Error("loop-free program accepted")
+	}
+}
+
+// phasedFirmwareSrc is cmd/reproduce's phased firmware: two sequential
+// hot loops at paper-scale trip counts, each needing the whole of a
+// 2-entry Transformation Table.
+const phasedFirmwareSrc = `
+	li   $t0, 60000
+loopA:
+	addu $t1, $t1, $t0
+	sll  $t2, $t0, 2
+	xor  $t3, $t1, $t2
+	srl  $t4, $t3, 1
+	or   $t5, $t4, $t1
+	and  $t6, $t5, $t2
+	nor  $t7, $t6, $t1
+	addiu $t0, $t0, -1
+	bgtz $t0, loopA
+	li   $t0, 60000
+loopB:
+	subu $t6, $t0, $t1
+	nor  $t7, $t6, $t2
+	and  $t8, $t7, $t0
+	addu $t9, $t8, $t6
+	xor  $t1, $t9, $t7
+	sll  $t2, $t1, 3
+	srl  $t3, $t2, 2
+	addiu $t0, $t0, -1
+	bgtz $t0, loopB
+	li $v0, 10
+	syscall
+`
+
+// TestPhasedMatchesSimulate holds MeasurePhased, which walks one captured
+// fetch trace, to the four-run simulate oracle: every field equal, or
+// both failing with the same error. It covers the two loop firmwares and
+// the nine kernels under a tight and the default table budget.
+func TestPhasedMatchesSimulate(t *testing.T) {
+	type input struct {
+		name  string
+		p     *Program
+		setup func(Memory) error
+	}
+	var inputs []input
+	for _, src := range []struct{ name, src string }{
+		{"twoPhase", twoPhaseSrc}, {"firmware", phasedFirmwareSrc},
+	} {
+		p, err := Assemble(src.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{src.name, p, nil})
+	}
+	for _, b := range append(Benchmarks(), ExtraBenchmarks()...) {
+		b := testScale(b)
+		p, err := b.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{b.Name, p, b.setup})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			for _, c := range []Config{{BlockSize: 5, TTEntries: 2}, {}} {
+				want, werr := simulatePhased(in.p, in.setup, c)
+				got, gerr := MeasurePhased(in.p, in.setup, c)
+				if werr != nil || gerr != nil {
+					if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+						t.Errorf("%v: MeasurePhased err %v, simulate oracle err %v", c, gerr, werr)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v: MeasurePhased differs from the simulate oracle\n got %+v\nwant %+v", c, got, want)
+				}
+			}
+		})
 	}
 }

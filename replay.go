@@ -12,34 +12,8 @@ import (
 	"imtrans/internal/scheme"
 )
 
-// ReplayMeasure produces the same measurements as MeasureProgram — bit for
-// bit — from a single profiling run per program. The run's fetch stream is
-// captured as a compressed text-index trace (cached in-process by program
-// content hash), and each configuration is evaluated by replaying the
-// trace against its encoded image: the decoder model is driven through
-// every covered-block fetch with full restoration checks, while uncovered
-// sequential stretches and periodic loop bodies are totalled analytically
-// from the static image. Configurations are evaluated concurrently (see
-// core.SetParallelism) with deterministic output ordering.
-//
-// The setup callback must be a deterministic function of the program, the
-// same contract MeasureProgram imposes; callers whose setup varies
-// independently of the program image must route the variation through the
-// program (or use MeasureProgram, which never caches).
-func ReplayMeasure(p *Program, setup func(Memory) error, cfgs ...Config) ([]Measurement, error) {
-	return replayMeasureCtx(context.Background(), p, setup, "", cfgs...)
-}
-
-// ReplayMeasureCtx is ReplayMeasure with cooperative cancellation: the
-// context is polled inside the encoder's bit-line pool and the replay
-// fetch loop, so cancellation takes effect within one task granule. A
-// cancelled run returns ctx.Err() (possibly wrapped) and no results.
-func ReplayMeasureCtx(ctx context.Context, p *Program, setup func(Memory) error, cfgs ...Config) ([]Measurement, error) {
-	return replayMeasureCtx(ctx, p, setup, "", cfgs...)
-}
-
 // SetParallelism bounds the worker pools of the measurement pipeline — the
-// encoder's per-bit-line fan-out and ReplayMeasure's per-configuration
+// encoder's per-bit-line fan-out and the per-configuration replay
 // fan-out — and returns the previous bound. Values below 1 (zero,
 // negative) are clamped to 1, so the pipeline is always fully serial at
 // the bottom, never stalled; the default is GOMAXPROCS. Results never
@@ -108,29 +82,17 @@ func replayCaptureCtx(ctx context.Context, cap *replay.Capture, cfgs ...Config) 
 	return out, nil
 }
 
-// SweepMeasure evaluates every (benchmark, configuration) pair of a grid,
-// sharing one capture per benchmark and fanning the encode+replay work
-// over a bounded worker pool. parallelism <= 0 means GOMAXPROCS. The
-// result is indexed [benchmark][config]; ordering, values, and the error
-// returned are independent of parallelism.
-//
-// SweepMeasure is the fail-fast legacy form: the first cell failure (in
-// grid order) aborts the whole sweep. SweepMeasureCtx adds cancellation,
-// per-cell fault isolation, retry and checkpoint-resume.
-func SweepMeasure(benchmarks []Benchmark, cfgs []Config, parallelism int) ([][]Measurement, error) {
-	res, err := SweepMeasureCtx(context.Background(), benchmarks, cfgs, SweepOptions{Parallelism: parallelism})
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Errors) > 0 {
-		return nil, &res.Errors[0]
-	}
-	return res.Measurements, nil
-}
-
-// captureProgram returns the (possibly cached) capture for a program,
-// profiling it at most once per content hash across the process.
+// captureProgram returns the capture for a program. The cache key hashes
+// the program image and the salt, never the setup callback, so a capture
+// goes through the process-wide cache — profiled at most once per key —
+// only when the key names the whole input: no setup, or a salt naming it
+// (a Benchmark's kernel and scale). A setup without a salt gets a fresh,
+// uncached profiling run; caching it would serve one setup's trace to
+// another.
 func captureProgram(p *Program, setup func(Memory) error, salt string) (*replay.Capture, error) {
+	if setup != nil && salt == "" {
+		return captureRun(p, setup, nil)
+	}
 	return captureKeyed(p, setup, nil, salt)
 }
 
@@ -211,7 +173,7 @@ func captureRun(p *Program, setup, check func(Memory) error) (*replay.Capture, e
 // Bus-Invert and 256-entry dictionary comparators from their registered
 // batch kernels. Each is a pure function of the fetched word sequence,
 // so the totals equal what a per-fetch drive during the run would have
-// accumulated (MeasureProgram still drives them that way, and the
+// accumulated (the simulate test oracle drives them that way, and the
 // differential tests hold the two paths equal).
 func deriveStreamTotals(c *replay.Capture) error {
 	st := scheme.NewStream(c)

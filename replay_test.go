@@ -1,6 +1,8 @@
 package imtrans
 
 import (
+	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -37,7 +39,8 @@ func testScale(b Benchmark) Benchmark {
 
 // replayTestConfigs exercises every pipeline variant the replay path must
 // reproduce: the Figure 6 block sizes plus exact chaining, knapsack TT
-// allocation, the 16-function space, and a tight table budget.
+// allocation, the 16-function space, and table budgets below and above
+// the default — a superset of the `imtrans bench -json` grid.
 var replayTestConfigs = []Config{
 	{BlockSize: 4},
 	{BlockSize: 5},
@@ -47,6 +50,8 @@ var replayTestConfigs = []Config{
 	{BlockSize: 5, Knapsack: true},
 	{BlockSize: 5, AllFunctions: true},
 	{BlockSize: 5, TTEntries: 4},
+	{BlockSize: 5, TTEntries: 8},
+	{BlockSize: 5, TTEntries: 32},
 }
 
 // TestReplayMatchesSimulate is the tentpole equivalence check: for every
@@ -57,9 +62,13 @@ func TestReplayMatchesSimulate(t *testing.T) {
 	for _, b := range Benchmarks() {
 		b := testScale(b)
 		t.Run(b.Name, func(t *testing.T) {
-			sim, err := b.SimulateMeasure(replayTestConfigs...)
+			p, err := b.Program()
 			if err != nil {
-				t.Fatalf("SimulateMeasure: %v", err)
+				t.Fatal(err)
+			}
+			sim, err := simulateMeasure(p, b.setup, replayTestConfigs...)
+			if err != nil {
+				t.Fatalf("simulateMeasure: %v", err)
 			}
 			rep, err := b.Measure(replayTestConfigs...)
 			if err != nil {
@@ -78,23 +87,24 @@ func TestReplayMatchesSimulate(t *testing.T) {
 	}
 }
 
-// TestReplayMeasureProgramFacade checks the program-level facade against
-// MeasureProgram on a plain assembly program with no setup callback.
+// TestReplayMeasureProgramFacade checks the program-level facade,
+// MeasureProgram, against the two-run simulate oracle on a plain assembly
+// program with no setup callback.
 func TestReplayMeasureProgramFacade(t *testing.T) {
 	p, err := Assemble(testLoop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := MeasureProgram(p, nil, Config{BlockSize: 5}, Config{BlockSize: 6, Exact: true})
+	sim, err := simulateMeasure(p, nil, Config{BlockSize: 5}, Config{BlockSize: 6, Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayMeasure(p, nil, Config{BlockSize: 5}, Config{BlockSize: 6, Exact: true})
+	rep, err := MeasureProgram(p, nil, Config{BlockSize: 5}, Config{BlockSize: 6, Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sim, rep) {
-		t.Errorf("ReplayMeasure differs from MeasureProgram\nsimulate: %+v\nreplay:   %+v", sim, rep)
+		t.Errorf("MeasureProgram differs from the simulate oracle\nsimulate: %+v\nreplay:   %+v", sim, rep)
 	}
 }
 
@@ -109,18 +119,21 @@ func TestSweepMeasureDeterministic(t *testing.T) {
 	}
 	cfgs := []Config{{BlockSize: 4}, {BlockSize: 5}, {BlockSize: 6}, {BlockSize: 7}}
 
-	ClearCaptureCache()
-	serial, err := SweepMeasure(benches, cfgs, 1)
-	if err != nil {
-		t.Fatalf("SweepMeasure j=1: %v", err)
+	sweep := func(par int) [][]Measurement {
+		t.Helper()
+		ClearCaptureCache()
+		res, err := SweepMeasureCtx(context.Background(), benches, cfgs, SweepOptions{Parallelism: par})
+		if err == nil {
+			err = res.Err()
+		}
+		if err != nil {
+			t.Fatalf("SweepMeasureCtx j=%d: %v", par, err)
+		}
+		return res.Measurements
 	}
-	ClearCaptureCache()
-	parallel, err := SweepMeasure(benches, cfgs, 8)
-	if err != nil {
-		t.Fatalf("SweepMeasure j=8: %v", err)
-	}
+	serial, parallel := sweep(1), sweep(8)
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("SweepMeasure results depend on parallelism")
+		t.Error("SweepMeasureCtx results depend on parallelism")
 	}
 	// And the grid must agree with per-benchmark Measure.
 	for bi, b := range benches {
@@ -237,4 +250,110 @@ func mustBench(t *testing.T, name string) Benchmark {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestTraceProgramMatchesSimulate holds TraceProgram, which walks one
+// captured fetch trace, to the two-run simulate oracle entry for entry.
+func TestTraceProgramMatchesSimulate(t *testing.T) {
+	loop, err := Assemble(testLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type input struct {
+		name  string
+		p     *Program
+		setup func(Memory) error
+	}
+	inputs := []input{{"testLoop", loop, nil}}
+	for _, name := range []string{"sor", "crc32"} {
+		b := testScale(mustBench(t, name))
+		p, err := b.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{name, p, b.setup})
+	}
+	for _, in := range inputs {
+		for _, c := range []Config{{BlockSize: 4}, {}} {
+			for _, n := range []int{0, 1000} {
+				want, err := simulateTrace(in.p, in.setup, c, n)
+				if err != nil {
+					t.Fatalf("%s %v: oracle: %v", in.name, c, err)
+				}
+				got, err := TraceProgram(in.p, in.setup, c, n)
+				if err != nil {
+					t.Fatalf("%s %v: %v", in.name, c, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %v n=%d: TraceProgram differs from the simulate oracle", in.name, c, n)
+				}
+			}
+		}
+	}
+}
+
+// TestSetupCaptureNotCached checks that a setup callback never reaches the
+// capture cache, whose key hashes the program but cannot see what the
+// callback writes: two setups giving one program different trip counts
+// must give different traces and measurements — through every
+// program-level study that reads a capture — and the cache must not
+// move.
+func TestSetupCaptureNotCached(t *testing.T) {
+	p, err := Assemble(`
+		li  $t0, 0x10010000
+		lw  $t1, 0($t0)
+	loop:
+		addu $t2, $t2, $t1
+		sll  $t3, $t2, 3
+		xor  $t4, $t3, $t1
+		addiu $t1, $t1, -1
+		bgtz $t1, loop
+		li $v0, 10
+		syscall
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trips := func(n uint32) func(Memory) error {
+		return func(m Memory) error { return m.StoreWord(DataBase, n) }
+	}
+	a, b := trips(40), trips(90)
+	hits0, misses0 := CaptureCacheStats()
+	textA, err := TraceText(p, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	textB, err := TraceText(p, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(textA, textB) {
+		t.Error("TraceText served one setup's trace for another")
+	}
+	msA, err := MeasureProgram(p, a, Config{BlockSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msB, err := MeasureProgram(p, b, Config{BlockSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msA[0].Instructions == msB[0].Instructions || msA[0].Baseline == msB[0].Baseline {
+		t.Errorf("MeasureProgram served one setup's capture for another: %+v vs %+v", msA[0], msB[0])
+	}
+	abA, err := MeasureAddressBus(p, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abB, err := MeasureAddressBus(p, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if abA.Binary == abB.Binary {
+		t.Errorf("MeasureAddressBus served one setup's capture for another: %+v vs %+v", abA, abB)
+	}
+	if hits, misses := CaptureCacheStats(); hits != hits0 || misses != misses0 {
+		t.Errorf("capture cache moved from %d/%d to %d/%d hits/misses on setup-driven captures",
+			hits0, misses0, hits, misses)
+	}
 }

@@ -36,10 +36,9 @@ func (p RetryPolicy) policy() runsafe.Policy {
 	}
 }
 
-// SweepOptions parameterises a supervised sweep. The zero value matches
-// the legacy SweepMeasure behaviour: GOMAXPROCS parallelism, a single
-// attempt per cell, no circuit breaker, no checkpoint, no fault
-// injection.
+// SweepOptions parameterises a supervised sweep. The zero value is
+// GOMAXPROCS parallelism, a single attempt per cell, no circuit breaker,
+// no checkpoint, no fault injection.
 type SweepOptions struct {
 	// Parallelism bounds the worker pool; <= 0 means GOMAXPROCS.
 	Parallelism int

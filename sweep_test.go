@@ -326,14 +326,18 @@ func TestSweepCaptureFailureIsolated(t *testing.T) {
 	})
 }
 
-// TestSweepMeasureLegacyFailFast asserts the legacy facade still fails
-// fast, now with a typed, kernel-identifying error.
+// TestSweepMeasureLegacyFailFast asserts that a broken benchmark fails
+// the sweep's fail-fast form, SweepResult.Err, with a typed,
+// kernel-identifying error.
 func TestSweepMeasureLegacyFailFast(t *testing.T) {
 	ClearCaptureCache()
 	bad := Benchmark{Name: "bogus"}
-	_, err := SweepMeasure([]Benchmark{bad}, sweepTestConfigs, 1)
+	res, err := SweepMeasureCtx(context.Background(), []Benchmark{bad}, sweepTestConfigs, SweepOptions{Parallelism: 1})
 	if err == nil {
-		t.Fatal("SweepMeasure accepted a broken benchmark")
+		err = res.Err()
+	}
+	if err == nil {
+		t.Fatal("SweepMeasureCtx accepted a broken benchmark")
 	}
 	var se *SweepError
 	if !errors.As(err, &se) || se.Benchmark != "bogus" {

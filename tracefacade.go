@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"imtrans/internal/cfg"
 	"imtrans/internal/core"
 	"imtrans/internal/hw"
 	"imtrans/internal/isa"
@@ -21,12 +20,12 @@ type TraceEntry struct {
 	DecoderActive bool   // fetch decoded inside a covered block
 }
 
-// TraceText profiles the program once (through the shared capture cache)
-// and renders its compressed fetch trace in the canonical one-line text
-// form ("imtrans-trace 1 <first> <n> <ops...>"). The rendering is
-// round-tripped through the validating parser before it is returned, so
-// the output always re-loads; arbitrary edits to it fail the parser's
-// envelope and fetch-count checks instead of replaying short.
+// TraceText profiles the program once and renders its compressed fetch
+// trace in the canonical one-line text form ("imtrans-trace 1 <first> <n>
+// <ops...>"), under the same capture caching rule as MeasureProgram. The
+// rendering is round-tripped through the validating parser before it is
+// returned, so the output always re-loads; arbitrary edits to it fail the
+// parser's envelope and fetch-count checks instead of replaying short.
 func TraceText(p *Program, setup func(Memory) error) ([]byte, error) {
 	cap, err := captureProgram(p, setup, "")
 	if err != nil {
@@ -42,26 +41,20 @@ func TraceText(p *Program, setup func(Memory) error) ([]byte, error) {
 	return text, nil
 }
 
-// TraceProgram profiles the program, plans the encoding, and replays
-// execution with the decoder in the loop, returning the first maxFetches
-// fetches annotated — the debugging view of what the bus and the decoder
-// are doing cycle by cycle.
+// TraceProgram profiles the program, plans the encoding, and walks the
+// captured fetch trace with the decoder in the loop, checking every
+// restored word and returning the first maxFetches fetches annotated —
+// the debugging view of what the bus and the decoder are doing cycle by
+// cycle. The capture follows MeasureProgram's caching rule.
 func TraceProgram(p *Program, setup func(Memory) error, c Config, maxFetches int) ([]TraceEntry, error) {
 	if maxFetches <= 0 {
 		maxFetches = 100
 	}
-	m1, err := newMachine(p, setup)
+	cap, err := captureProgram(p, setup, "")
 	if err != nil {
 		return nil, err
 	}
-	if err := m1.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: trace profiling run: %w", err)
-	}
-	g, err := cfg.Build(p.TextBase, p.Text)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := core.Encode(g, m1.Profile(), c.coreConfig())
+	enc, err := core.Encode(cap.Graph, cap.Profile, c.coreConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -70,22 +63,19 @@ func TraceProgram(p *Program, setup func(Memory) error, c Config, maxFetches int
 		return nil, err
 	}
 	dec.Strict = true
-	m2, err := newMachine(p, setup)
-	if err != nil {
-		return nil, err
-	}
 	var out []TraceEntry
 	var last uint32
 	have := false
-	var hookErr error
-	m2.OnFetch = func(pc, word uint32) {
-		busWord := enc.EncodedWords[int(pc-p.TextBase)/4]
+	var walkErr error
+	cap.Trace.Indices(func(idx int32) {
+		pc, word := cap.Base+4*uint32(idx), cap.Words[idx]
+		busWord := enc.EncodedWords[idx]
 		restored, err := dec.OnFetch(pc, busWord)
-		if err != nil && hookErr == nil {
-			hookErr = err
+		if err != nil && walkErr == nil {
+			walkErr = err
 		}
-		if restored != word && hookErr == nil {
-			hookErr = fmt.Errorf("imtrans: trace decoder mismatch at pc %#x", pc)
+		if restored != word && walkErr == nil {
+			walkErr = fmt.Errorf("imtrans: trace decoder mismatch at pc %#x", pc)
 		}
 		if len(out) < maxFetches {
 			flips := 0
@@ -102,12 +92,9 @@ func TraceProgram(p *Program, setup func(Memory) error, c Config, maxFetches int
 			})
 		}
 		last, have = busWord, true
-	}
-	if err := m2.Run(); err != nil {
-		return nil, fmt.Errorf("imtrans: trace run: %w", err)
-	}
-	if hookErr != nil {
-		return nil, hookErr
+	})
+	if walkErr != nil {
+		return nil, walkErr
 	}
 	return out, nil
 }
